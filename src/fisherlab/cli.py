@@ -11,6 +11,7 @@ Exit codes: 0 ok, 2 invalid physical inputs, 3 numerical failure,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -22,9 +23,9 @@ import numpy as np
 
 from . import __version__
 from .errors import ExcessiveFailures, FisherlabError, SizeLimit, ZeroPosterior
-from .interferometer import (FockInput, fisher_phase_at_zero,
+from .interferometer import (FockInput, Posterior, fisher_phase_at_zero,
                              linearized_phase_error, moments,
-                             outcome_distribution, wigner_d)
+                             outcome_distribution)
 from .models import bernoulli_model
 from .montecarlo import TrialConfig, run_accumulation, run_trials
 from .slit import (DENSITY_POINTS, DENSITY_WINDOW, SlitGeometry,
@@ -43,8 +44,17 @@ def _load_schema(name: str) -> dict:
     return json.loads(text)
 
 
+@functools.cache
+def _validator(name: str):
+    """One validator per shipped schema; the schema itself is checked once."""
+    schema = _load_schema(name)
+    cls = jsonschema.validators.validator_for(schema)
+    cls.check_schema(schema)
+    return cls(schema)
+
+
 def _dump_json(obj: dict, schema_name: str) -> str:
-    jsonschema.validate(obj, _load_schema(schema_name))
+    _validator(schema_name).validate(obj)
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
@@ -56,10 +66,11 @@ def _write(out_dir: Path | None, name: str, text: str,
 
 
 def _csv(header: str, columns: tuple[np.ndarray, ...]) -> str:
-    lines = [header]
-    for row in zip(*columns):
-        lines.append(",".join(f"{v:.17g}" for v in row))
-    return "\n".join(lines) + "\n"
+    """One line per row, every value as %.17g, formatted in a single pass."""
+    rows = np.column_stack(columns)
+    line = ",".join(["%.17g"] * rows.shape[1])
+    body = "\n".join([line] * rows.shape[0]) % tuple(rows.ravel().tolist())
+    return f"{header}\n{body}\n"
 
 
 def _manifest(args: argparse.Namespace, written: dict[str, str],
@@ -153,6 +164,9 @@ def cmd_mz(args: argparse.Namespace) -> int:
     except SizeLimit as exc:
         print(f"size limit: {exc}", file=sys.stderr)
         return EXIT_SIZE_LIMIT
+    except FisherlabError as exc:
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
 
     delta = linearized_phase_error(source, args.phi)
     mean_j3, mean_j3_sq = moments(source, args.phi)
@@ -231,14 +245,16 @@ def cmd_accumulate(args: argparse.Namespace) -> int:
     window = (-args.window / 2.0, args.window / 2.0)
     out_dir = _prepare_out(args)
     written: dict[str, str] = {}
+
+    def write_posterior(post: Posterior) -> None:
+        _write(out_dir, f"posterior_shot_{len(post.shots):03d}.csv",
+               _csv("phi,density", (post.grid, post.density)), written)
+
     try:
-        post, variance = None, None
-        for shots in range(args.repeats + 1):
-            post, variance = run_accumulation(
-                args.j, shots, args.phi_true, window, rng=np.random.default_rng(args.seed),
-                postselect_zero=args.postselect_zero)
-            _write(out_dir, f"posterior_shot_{shots:03d}.csv",
-                   _csv("phi,density", (post.grid, post.density)), written)
+        _, variance = run_accumulation(
+            args.j, args.repeats, args.phi_true, window,
+            rng=np.random.default_rng(args.seed),
+            postselect_zero=args.postselect_zero, on_posterior=write_posterior)
     except ZeroPosterior as exc:
         print(f"zero posterior: {exc}", file=sys.stderr)
         return EXIT_ZERO_POSTERIOR

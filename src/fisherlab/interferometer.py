@@ -2,10 +2,12 @@
 
 Two bosonic modes with total particle number N map onto a spin j = N/2; the
 interferometer acts as the rotation exp(-i phi J2), so outcome statistics are
-squared Wigner rotation-matrix columns.  The rotation matrix is computed from
-the eigendecomposition of the (purely imaginary, tridiagonal) generator,
-which stays orthogonal to round-off for dimensions in the hundreds where
-factorial formulas have long overflowed.
+squared Wigner rotation-matrix columns.  Everything is computed from the
+eigendecomposition of the (purely imaginary, tridiagonal) generator, which
+stays orthogonal to round-off for dimensions in the hundreds where factorial
+formulas have long overflowed.  Outcome distributions and amplitude curves
+are evaluated in that eigenbasis directly; the dense matrix ``wigner_d`` is
+kept as the reference they are tested against.
 """
 
 from __future__ import annotations
@@ -152,27 +154,47 @@ def wigner_d(j: float, phi: float, size_cap: int = SIZE_CAP) -> WignerRotation:
     return WignerRotation(j=j, phi=phi, d=np.real(phase * core))
 
 
-def _outcome_weights(two_j: int, k: float, m: float) -> tuple[np.ndarray, np.ndarray, complex]:
-    """Spectral weights so that d_{k,m}(phi) = Re[phase * sum_n w_n e^{-i phi lam_n}]."""
-    j = two_j / 2.0
-    lam, vec = _generator_eigensystem(two_j)
-    ki, mi = _index_of(j, k), _index_of(j, m)
-    return lam, vec[ki] * vec[mi], 1j ** ((ki - mi) % 4)
-
-
 def outcome_amplitude_curve(j: float, k: float, m: float,
                             phis: np.ndarray) -> np.ndarray:
-    """d^j_{k,m}(phi) evaluated on an array of phases (single eigensolve)."""
+    """d^j_{k,m}(phi) evaluated on an array of phases (single eigensolve).
+
+    With weights w_n = V[k, n] V[m, n], d_{k,m}(phi) is
+    Re[i^(k-m) sum_n w_n e^{-i phi lam_n}] (row indices k, m).  The spectrum
+    of J2 is exactly the integers -j .. j, ascending in the cached
+    eigensystem, so the sum is e^{i j phi} P(z) with z = e^{-i phi} and
+    P(z) = sum_n w_n z^n.  Horner's rule evaluates P with one complex
+    exponential per phase instead of 2j+1.
+    """
     two_j = _as_two_j(j)
     _check_two_j(two_j)
-    lam, w, phase = _outcome_weights(two_j, k, m)
-    return np.real(phase * (np.exp(-1j * np.outer(phis, lam)) @ w))
+    _, vec = _generator_eigensystem(two_j)
+    ki, mi = _index_of(j, k), _index_of(j, m)
+    w = vec[ki] * vec[mi]
+    phis = np.asarray(phis, dtype=float)
+    z = np.exp(-1j * phis)
+    poly = np.full(phis.shape, w[-1], dtype=complex)
+    for w_n in w[-2::-1]:
+        poly *= z
+        poly += w_n
+    return np.real(1j ** ((ki - mi) % 4) * np.exp(0.5j * two_j * phis) * poly)
 
 
 def outcome_distribution(source: FockInput, phi: float) -> np.ndarray:
-    """Probabilities p_k(phi) over k = j .. -j: squared column m of d(phi)."""
-    rot = wigner_d(source.j, phi)
-    return rot.column(source.m) ** 2
+    """Probabilities p_k(phi) over k = j .. -j: squared column m of d(phi).
+
+    Only that column is formed, in the cached eigenbasis:
+    p = |V (e^{-i phi lam} * V[m])|^2, where the unimodular i^(r-c) phase of
+    ``wigner_d`` drops out of the modulus.  Real and imaginary parts are one
+    real (2j+1) x 2 product, so the dense rotation matrix is never built.
+    """
+    two_j = _as_two_j(source.j)
+    _check_two_j(two_j)
+    lam, vec = _generator_eigensystem(two_j)
+    angle = _reduce_phase(phi) * lam
+    weights = vec[_index_of(source.j, source.m)][:, None] * np.stack(
+        (np.cos(angle), np.sin(angle)), axis=1)
+    amp = vec @ weights
+    return np.einsum("ij,ij->i", amp, amp)
 
 
 def mz_transform_check(j: float, phi: float) -> float:
@@ -219,17 +241,18 @@ def linearized_phase_error(source: FockInput, phi: float) -> float | None:
     return math.sqrt((j * (j + 1.0) - m ** 2) / (2.0 * m ** 2))
 
 
-def fisher_phase_at_zero(source: FockInput, verify: bool = True,
-                         step: float = 1e-4) -> float:
+def fisher_phase_at_zero(source: FockInput, verify: bool = True) -> float:
     """Fisher information at the phi = 0 working point: 2 [j(j+1) - m^2].
 
     The raw score sum is 0/0 at phi = 0; the closed form realizes its
     L'Hospital limit -2 p_m''(0), which is re-checked by a second central
-    difference of p_m when ``verify`` is set.
+    difference of p_m when ``verify`` is set.  The truncation error of that
+    difference grows like (j step)^2, so the step is 1/(300 j).
     """
     j, m = source.j, source.m
     f0 = 2.0 * (j * (j + 1.0) - m ** 2)
     if verify and f0 > 0:
+        step = 1.0 / (300.0 * max(j, 1.0))
         p = outcome_amplitude_curve(j, m, m, np.array([-step, step])) ** 2
         fd = -2.0 * (p[0] + p[1] - 2.0) / step ** 2
         if abs(fd / f0 - 1.0) > 1e-3:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Literal
+from typing import Callable, Literal
 
 import numpy as np
 
@@ -192,12 +192,18 @@ def run_accumulation(j: float, n_repeats: int, phi_true: float,
                      window: tuple[float, float],
                      rng: np.random.Generator,
                      postselect_zero: bool = False,
-                     n_points: int = 4001) -> tuple[Posterior, float]:
+                     n_points: int = 4001,
+                     on_posterior: Callable[[Posterior], None] | None = None
+                     ) -> tuple[Posterior, float]:
     """Accumulate single-shot m = 0 interferometer outcomes into a posterior.
 
-    Samples ``n_repeats`` outcomes at the true phase and applies a Bayes
-    update per shot.  With ``postselect_zero`` the record is conditioned on
-    the most optimistic all-zero outcome sequence instead of being sampled.
+    Samples ``n_repeats`` outcomes at the true phase, one uniform draw per
+    shot from the inverse CDF of p_k(phi_true) (computed once per run), and
+    applies a Bayes update per shot.  With ``postselect_zero`` the record is
+    conditioned on the most optimistic all-zero outcome sequence instead of
+    being sampled.  ``on_posterior``, when given, receives every posterior as
+    it is formed, the flat prior first, so a caller can record all prefixes
+    of the run in one pass.
     """
     if n_repeats < 0:
         raise ValueError("n_repeats must be non-negative")
@@ -206,14 +212,18 @@ def run_accumulation(j: float, n_repeats: int, phi_true: float,
     if source.m != 0:
         raise ValueError("accumulation runs use the balanced m = 0 input")
     post = posterior_flat(window=window, n_points=n_points)
-    k_values = source.j - np.arange(two_j + 1)
+    if on_posterior is not None:
+        on_posterior(post)
+    if n_repeats and not postselect_zero:
+        cdf = np.cumsum(outcome_distribution(source, phi_true))
+        cdf[-1] = 1.0
+        k_values = source.j - np.arange(two_j + 1)
     for _ in range(n_repeats):
         if postselect_zero:
             outcome = 0.0
         else:
-            p = outcome_distribution(source, phi_true)
-            cdf = np.cumsum(p)
-            cdf[-1] = 1.0
             outcome = float(k_values[np.searchsorted(cdf, rng.random(), side="right")])
         post = posterior_update(post, source, outcome)
+        if on_posterior is not None:
+            on_posterior(post)
     return post, post.variance()

@@ -92,6 +92,22 @@ def test_mz_single_particle_distribution(tmp_path):
     assert rows[:, 1] == pytest.approx([1.0, 0.0], abs=1e-15)
 
 
+def test_mz_large_balanced_input(tmp_path):
+    assert run_cli(["mz", "--n1", "1000", "--n2", "1000"], tmp_path) == 0
+    assert read_json(tmp_path / "mz_summary.json")["F0"] == 2.0 * 1000 * 1001
+
+
+def test_mz_numerical_failure_exits_3(tmp_path, monkeypatch):
+    import fisherlab.cli as cli_mod
+    from fisherlab import FisherlabError
+
+    def boom(*args, **kwargs):
+        raise FisherlabError("forced")
+
+    monkeypatch.setattr(cli_mod, "fisher_phase_at_zero", boom)
+    assert run_cli(["mz", "--n1", "3", "--n2", "1"], tmp_path) == 3
+
+
 def test_mz_bad_input_exits_2(tmp_path):
     assert run_cli(["mz", "--n1", "0", "--n2", "0"], tmp_path) == 2
 
@@ -215,6 +231,39 @@ def test_accumulate_writes_per_shot_files(tmp_path):
     from fisherlab.cli import _load_schema
     jsonschema.validate(read_json(tmp_path / "accumulate_summary.json"),
                         _load_schema("accumulate_summary.schema.json"))
+
+
+def test_accumulate_one_update_per_shot(tmp_path, monkeypatch):
+    import fisherlab.montecarlo as mc_mod
+    update = mc_mod.posterior_update
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return update(*args, **kwargs)
+
+    monkeypatch.setattr(mc_mod, "posterior_update", counting)
+    assert run_cli(["accumulate", "--j", "20", "--repeats", "7",
+                    "--phi-true", "0.6", "--seed", "4"], tmp_path) == 0
+    assert len(calls) == 7
+
+
+def test_accumulate_shot_files_are_prefix_runs(tmp_path):
+    # every posterior_shot_s.csv is the final posterior of an s-shot run
+    # with the same seed: the shots are the first s draws of one stream
+    from fisherlab import run_accumulation
+    j, repeats, phi, seed = 30.0, 6, -0.8, 12
+    assert run_cli(["accumulate", "--j", str(j), "--repeats", str(repeats),
+                    "--phi-true", str(phi), "--seed", str(seed)], tmp_path) == 0
+    window = (-math.pi / 2, math.pi / 2)
+    for shots in range(repeats + 1):
+        post, variance = run_accumulation(j, shots, phi, window,
+                                          np.random.default_rng(seed))
+        _, rows = read_csv(tmp_path / f"posterior_shot_{shots:03d}.csv")
+        assert np.max(np.abs(rows[:, 0] - post.grid)) == 0.0
+        assert np.max(np.abs(rows[:, 1] - post.density)) <= 1e-12 * post.density.max()
+    summary = read_json(tmp_path / "accumulate_summary.json")
+    assert summary["variance"] == pytest.approx(variance, rel=1e-12)
 
 
 def test_accumulate_zero_posterior_exits_6(tmp_path, monkeypatch):

@@ -150,6 +150,34 @@ def test_distribution_parity(j, m, rng):
     assert np.max(np.abs(p_plus - p_minus[::-1])) < 1e-12
 
 
+KERNEL_CASES = [(0.5, 0.5), (3.0, -2.0), (7.5, 2.5), (30.0, 10.0), (50.5, -0.5),
+                (100.0, 37.0)]
+KERNEL_PHASES = (-7.3, -math.pi, -2.2, 0.0, 0.41, 3.5, 9.9)
+
+
+@pytest.mark.parametrize("j,m", KERNEL_CASES)
+def test_distribution_matches_dense_column(j, m):
+    source = FockInput(n1=int(j + m), n2=int(j - m))
+    for phi in KERNEL_PHASES:
+        dense = wigner_d(j, phi).column(m) ** 2
+        assert np.max(np.abs(outcome_distribution(source, phi) - dense)) < 1e-12
+
+
+@pytest.mark.parametrize("j,m", KERNEL_CASES)
+def test_amplitude_curve_matches_dense_entries(j, m):
+    # wigner_d reduces phi to (-pi, pi]; each 2 pi turn multiplies d by
+    # (-1)^(2j), which the unreduced curve keeps
+    two_j = int(round(2 * j))
+    phis = np.array(KERNEL_PHASES)
+    turns = np.round(phis / (2.0 * math.pi))
+    sign = np.where((two_j * turns) % 2 == 0, 1.0, -1.0)
+    for k in sorted({j, -j, m, -m, j - two_j // 3}):
+        dense = np.array([wigner_d(j, phi).d[int(round(j - k)), int(round(j - m))]
+                          for phi in phis])
+        curve = outcome_amplitude_curve(j, k, m, phis)
+        assert np.max(np.abs(curve - sign * dense)) < 1e-12, k
+
+
 def test_balanced_input_tracks_bessel():
     # the balanced-outcome probability approaches J0^2(phi j); convergence is
     # monotone in j, about 4% absolute at j = 10 (hence no 2% claim here)
@@ -245,6 +273,14 @@ def test_fisher_phase_fd_verifier(j, m):
     source = FockInput(n1=int(j + m), n2=int(j - m))
     f0 = fisher_phase_at_zero(source, verify=True)
     assert f0 == pytest.approx(2.0 * (j * (j + 1) - m * m), rel=1e-12)
+
+
+@pytest.mark.parametrize("n1,n2", [(1000, 1000), (1200, 500), (2048, 2048), (4096, 0)])
+def test_fisher_phase_fd_verifier_at_large_j(n1, n2):
+    # a fixed difference step fails the 0.1% check once 2j exceeds ~1500
+    source = FockInput(n1=n1, n2=n2)
+    assert fisher_phase_at_zero(source, verify=True) == 2.0 * (
+        source.j * (source.j + 1) - source.m ** 2)
 
 
 # ---------------------------------------------------------------------------
