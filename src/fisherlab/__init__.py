@@ -16,13 +16,13 @@ from .interferometer import (AngularMomentumRep, FockInput, Posterior,
                              WignerRotation, build_rep, fisher_phase_at_zero,
                              linearized_phase_error, moments,
                              mz_transform_check, outcome_amplitude_curve,
-                             outcome_distribution, posterior_flat,
+                             outcome_distribution, outcome_table, posterior_flat,
                              posterior_update, posterior_variance,
                              resource_scaling, wigner_d)
 from .models import (DataSet, Estimate, ModelKind, ParametricModel,
                      bernoulli_model, crb, fisher_information,
                      gaussian_location_model, log_likelihood, mle,
-                     quadratic_expansion_check)
+                     mle_batch, quadratic_expansion_check)
 from .montecarlo import (TrialConfig, TrialReport, run_accumulation,
                          run_trials, sample_outcomes)
 from .slit import (Representation, SlitGeometry, SlitWavefunction,
@@ -38,7 +38,7 @@ __all__ = [
     "PhaseUnwrapFailure", "ZeroPosterior", "ExcessiveFailures",
     # statistics core
     "ModelKind", "ParametricModel", "DataSet", "Estimate",
-    "log_likelihood", "fisher_information", "crb", "mle",
+    "log_likelihood", "fisher_information", "crb", "mle", "mle_batch",
     "quadratic_expansion_check", "bernoulli_model", "gaussian_location_model",
     # slit
     "SlitGeometry", "SlitWavefunction", "Representation", "sinc",
@@ -47,7 +47,7 @@ __all__ = [
     "fisher_from_wavefunction", "truncated_momentum_variance",
     # interferometer
     "FockInput", "AngularMomentumRep", "WignerRotation", "build_rep",
-    "wigner_d", "mz_transform_check", "outcome_distribution",
+    "wigner_d", "mz_transform_check", "outcome_distribution", "outcome_table",
     "outcome_amplitude_curve", "moments", "linearized_phase_error",
     "fisher_phase_at_zero", "Posterior", "posterior_flat",
     "posterior_update", "posterior_variance", "resource_scaling",

@@ -25,7 +25,7 @@ from . import __version__
 from .errors import ExcessiveFailures, FisherlabError, SizeLimit, ZeroPosterior
 from .interferometer import (FockInput, Posterior, fisher_phase_at_zero,
                              linearized_phase_error, moments,
-                             outcome_distribution)
+                             outcome_distribution, outcome_table)
 from .models import bernoulli_model
 from .montecarlo import TrialConfig, run_accumulation, run_trials
 from .slit import (DENSITY_POINTS, DENSITY_WINDOW, SlitGeometry,
@@ -199,15 +199,24 @@ def _montecarlo_model(args: argparse.Namespace):
         return farfield_model(SlitGeometry(hbar=args.hbar))
     # mz: discrete outcome distribution of a fixed input, parameter = phase;
     # the domain avoids 0 and pi where the +-phi parity makes theta ambiguous.
-    from .models import ModelKind, ParametricModel
+    # For m = 0 also p_k(phi) = p_k(pi - phi), so the domain stops short of
+    # pi/2.
+    from .models import ModelKind, ParametricModel, take_outcomes
     source = FockInput(n1=args.n1, n2=args.n2)
     dim = int(round(2 * source.j)) + 1
+    top = math.pi / 2.0 if source.m == 0 else math.pi
+
+    def log_prob_at(idx: np.ndarray, phi: np.ndarray) -> np.ndarray:
+        with np.errstate(divide="ignore"):
+            return np.log(take_outcomes(outcome_table(source, phi), idx))
+
     return ParametricModel(
         kind=ModelKind.DISCRETE,
         outcomes=source.j - np.arange(dim),
         prob=lambda phi: outcome_distribution(source, phi),
-        theta_domain=(0.05, math.pi - 0.05),
+        theta_domain=(0.05, top - 0.05),
         name="mz",
+        log_prob_at=log_prob_at,
     )
 
 
@@ -217,6 +226,11 @@ def cmd_montecarlo(args: argparse.Namespace) -> int:
     except SizeLimit as exc:
         print(f"size limit: {exc}", file=sys.stderr)
         return EXIT_SIZE_LIMIT
+    lo, hi = model.theta_domain
+    if not lo <= args.theta <= hi:
+        print(f"--theta {args.theta} outside the {model.name} model domain "
+              f"[{lo}, {hi}]", file=sys.stderr)
+        return EXIT_BAD_INPUT
     config = TrialConfig(model=model, theta_true=args.theta,
                          n_particles=args.n, n_trials=args.trials,
                          rng_seed=args.seed, estimator=args.estimator)

@@ -134,8 +134,8 @@ def _generator_eigensystem(two_j: int) -> tuple[np.ndarray, np.ndarray]:
     return lam, vec
 
 
-def _reduce_phase(phi: float) -> float:
-    return float((phi + math.pi) % (2.0 * math.pi) - math.pi)
+def _reduce_phase(phi):
+    return (phi + math.pi) % (2.0 * math.pi) - math.pi
 
 
 def wigner_d(j: float, phi: float, size_cap: int = SIZE_CAP) -> WignerRotation:
@@ -195,6 +195,23 @@ def outcome_distribution(source: FockInput, phi: float) -> np.ndarray:
         (np.cos(angle), np.sin(angle)), axis=1)
     amp = vec @ weights
     return np.einsum("ij,ij->i", amp, amp)
+
+
+def outcome_table(source: FockInput, phis: np.ndarray) -> np.ndarray:
+    """Probabilities p_k(phi) for every phase in ``phis``: a (G, 2j+1) table.
+
+    Row g is ``outcome_distribution(source, phis[g])``, formed for all
+    phases at once as two real products in the cached eigenbasis,
+    (V[m] * cos(phi lam)) V^T and (V[m] * sin(phi lam)) V^T.
+    """
+    two_j = _as_two_j(source.j)
+    _check_two_j(two_j)
+    lam, vec = _generator_eigensystem(two_j)
+    angle = _reduce_phase(np.asarray(phis, dtype=float).reshape(-1, 1)) * lam
+    v_m = vec[_index_of(source.j, source.m)]
+    re = (v_m * np.cos(angle)) @ vec.T
+    im = (v_m * np.sin(angle)) @ vec.T
+    return re * re + im * im
 
 
 def mz_transform_check(j: float, phi: float) -> float:

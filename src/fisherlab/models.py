@@ -4,12 +4,17 @@ A model is a family ``theta -> p_x(theta)`` over a fixed outcome set.  Two
 kinds are supported: plain discrete distributions (probabilities summing to 1)
 and continuous densities sampled on a uniform grid (trapezoid integral 1).
 All operations are pure functions over immutable values.
+
+Estimation is batched over trials: a ``DataSet`` may hold one row of counts
+per trial, and every estimate reads ``log_likelihood`` tables of
+``sum_x c_x ln p_x(theta)`` over (theta values x trials).
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Optional
 
@@ -31,6 +36,13 @@ class ModelKind(Enum):
     CONTINUOUS_GRID = "continuous_grid"
 
 
+def take_outcomes(table: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """Entries of a (G, n_outcomes) table at outcome indices ``idx``: (U,)
+    shared by every row, or (G, K) one index row per table row."""
+    idx = np.broadcast_to(idx, (table.shape[0], np.shape(idx)[-1]))
+    return np.take_along_axis(table, idx, axis=1)
+
+
 @dataclass(frozen=True)
 class ParametricModel:
     """Family of outcome probabilities (or grid densities) over one parameter.
@@ -47,9 +59,11 @@ class ParametricModel:
     theta_domain: tuple[float, float]
     dprob: Optional[Callable[[float], np.ndarray]] = None
     name: str = "model"
-    # Optional fast path for likelihood scans: log-probabilities restricted to
-    # a subset of outcome indices, agreeing with log(prob(theta)[idx]).
-    log_prob_at: Optional[Callable[[np.ndarray, float], np.ndarray]] = None
+    # Optional fast path for likelihood tables, log_prob_at(idx, theta): theta
+    # is a column (G, 1); idx is (U,) outcome indices shared by every row or
+    # (G, K) indices per row.  Returns the (G, U) or (G, K) values of
+    # ln p_idx(theta), -inf where p = 0, agreeing with log(prob(theta)[idx]).
+    log_prob_at: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
 
     def __post_init__(self):
         object.__setattr__(self, "outcomes", np.asarray(self.outcomes))
@@ -70,6 +84,21 @@ class ParametricModel:
         if p.shape != (self.n_outcomes,):
             raise ValueError("prob(theta) shape does not match outcomes")
         return p
+
+    def log_probabilities(self, idx: np.ndarray, theta: np.ndarray) -> np.ndarray:
+        """ln p at outcome indices ``idx`` for a column ``theta`` of G values.
+
+        ``idx`` is (U,), shared by every row, or (G, K), one index row per
+        theta; the result has the shape of ``idx`` broadcast to G rows, with
+        -inf where p <= 0.  Uses the ``log_prob_at`` hook when the model has
+        one, otherwise one ``probabilities`` row per theta.
+        """
+        theta = np.asarray(theta, dtype=float).reshape(-1, 1)
+        if self.log_prob_at is not None:
+            return self.log_prob_at(idx, theta)
+        p = take_outcomes(np.array([self.probabilities(t) for t in theta[:, 0]]), idx)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.where(p > 0.0, np.log(p), -np.inf)
 
     def derivatives(self, theta: float) -> np.ndarray:
         if self.dprob is not None:
@@ -105,25 +134,46 @@ class ParametricModel:
 
 @dataclass(frozen=True)
 class DataSet:
-    """Observed counts per outcome.
+    """Observed counts per outcome, for one trial or a batch of trials.
 
-    Counts are non-negative reals: integer for real data, fractional when a
-    test substitutes the expected counts ``n * p_x`` for registered data.
+    ``counts`` is (n_outcomes,) for one trial, or (T, n_outcomes) with one
+    row per trial.  Counts are non-negative reals: integer for real data,
+    fractional when a test substitutes the expected counts ``n * p_x`` for
+    registered data.  Every trial records at least one particle.
     """
 
     counts: np.ndarray
 
     def __post_init__(self):
         c = np.asarray(self.counts, dtype=float)
-        if c.ndim != 1 or np.any(c < 0) or not np.all(np.isfinite(c)):
-            raise ValueError("counts must be a 1-d array of non-negative numbers")
-        if c.sum() < 1:
+        if c.ndim not in (1, 2) or np.any(c < 0) or not np.all(np.isfinite(c)):
+            raise ValueError("counts must be a 1-d or 2-d array of non-negative numbers")
+        if c.size == 0 or np.any(c.sum(axis=-1) < 1):
             raise ValueError("need at least one recorded particle")
         object.__setattr__(self, "counts", c)
 
     @property
     def n(self) -> float:
+        """Recorded particles, summed over every trial of a batch."""
         return float(self.counts.sum())
+
+    @functools.cached_property
+    def observed(self) -> tuple[np.ndarray, np.ndarray]:
+        """Each trial's observed outcomes as (T, K) indices and counts.
+
+        K is the largest number of distinct outcomes any trial observed;
+        shorter rows are padded with index 0 and count 0.
+        """
+        counts = np.atleast_2d(self.counts)
+        trial, outcome = np.nonzero(counts)
+        per_trial = np.bincount(trial, minlength=counts.shape[0])
+        slot = np.arange(trial.size) - np.repeat(np.cumsum(per_trial) - per_trial,
+                                                 per_trial)
+        idx = np.zeros((counts.shape[0], per_trial.max()), dtype=np.intp)
+        weights = np.zeros(idx.shape)
+        idx[trial, slot] = outcome
+        weights[trial, slot] = counts[trial, outcome]
+        return idx, weights
 
 
 @dataclass(frozen=True)
@@ -131,25 +181,44 @@ class Estimate:
     """Point estimate with its asymptotic error budget; crb == 1/(n*fisher)."""
 
     theta_hat: float
-    variance: float
     fisher: float
     crb: float
 
 
-def log_likelihood(model: ParametricModel, data: DataSet, theta: float) -> float:
-    """Sum of ``n_x * ln p_x(theta)``; terms with ``n_x == 0`` contribute 0.
+def log_likelihood(model: ParametricModel, data: DataSet, theta):
+    """Sum of ``c_x * ln p_x(theta)`` per trial; outcomes with ``c_x == 0``
+    contribute 0, even where p_x = 0.
 
-    Returns ``-inf`` when some observed outcome has zero probability (the
-    non-finite-likelihood flag), never raises for that case.
+    ``theta`` broadcasts against the trials of ``data``:
+
+    - a column (G, 1) gives the (G, T) table of every theta against every
+      trial, one matmul over the union of the observed outcomes;
+    - a scalar or a (T,) vector gives one value per trial, trial t read at
+      its own theta[t] on its own observed outcomes.
+
+    One trial (1-d counts) with a scalar theta gives a float.  The value is
+    ``-inf`` when some observed outcome has zero probability (the
+    non-finite-likelihood flag); that case never raises or yields NaN.
     """
-    counts = data.counts
-    if counts.shape[0] != model.n_outcomes:
+    counts = np.atleast_2d(data.counts)
+    if counts.shape[1] != model.n_outcomes:
         raise ValueError("data does not align with model outcomes")
-    p = model.probabilities(theta)
-    seen = counts > 0
-    if np.any(p[seen] <= 0.0):
-        return -math.inf
-    return float(np.dot(counts[seen], np.log(p[seen])))
+    theta = np.asarray(theta, dtype=float)
+    if theta.ndim == 2:
+        union = np.flatnonzero(counts.any(axis=0))
+        weights = counts[:, union].T
+        lnp = model.log_probabilities(union, theta)
+        finite = np.isfinite(lnp)
+        ll = np.where(finite, lnp, 0.0) @ weights
+        if not finite.all():
+            ll[(~finite).astype(float) @ weights > 0.0] = -np.inf
+        return ll
+    idx, weights = data.observed
+    lnp = model.log_probabilities(idx, np.broadcast_to(theta, (idx.shape[0],)))
+    finite = np.isfinite(lnp)
+    ll = np.einsum("tk,tk->t", np.where(finite, lnp, 0.0), weights)
+    ll[np.any(~finite & (weights > 0.0), axis=1)] = -np.inf
+    return float(ll[0]) if data.counts.ndim == 1 and theta.ndim == 0 else ll
 
 
 def fisher_information(model: ParametricModel, theta: float) -> float:
@@ -171,47 +240,68 @@ def crb(model: ParametricModel, theta: float, n: int) -> float:
     return 1.0 / (n * fisher_information(model, theta))
 
 
-def _golden_max(f: Callable[[float], float], lo: float, hi: float,
-                tol: float = GOLDEN_TOL) -> float:
-    """Golden-section maximization on [lo, hi] to absolute tolerance tol."""
-    a, b = lo, hi
+def _golden_max(f: Callable[[np.ndarray], np.ndarray], lo: np.ndarray,
+                hi: np.ndarray, tol: float = GOLDEN_TOL) -> np.ndarray:
+    """Golden-section maximization on every interval [lo_t, hi_t] in lockstep.
+
+    ``f`` maps a vector of points, one per interval, to their values.  Each
+    interval takes the scalar update rule and stops at its own tolerance.
+    """
+    a = np.array(lo, dtype=float)
+    b = np.array(hi, dtype=float)
     c = b - _INVGOLD * (b - a)
     d = a + _INVGOLD * (b - a)
     fc, fd = f(c), f(d)
-    while (b - a) > tol:
-        if fc >= fd:           # ties move left: smallest-theta tie break
-            b, d, fd = d, c, fc
-            c = b - _INVGOLD * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INVGOLD * (b - a)
-            fd = f(d)
+    active = (b - a) > tol
+    while np.any(active):
+        left = active & (fc >= fd)     # ties move left: smallest-theta tie break
+        right = active & ~left
+        b, d, fd = np.where(left, d, b), np.where(left, c, d), np.where(left, fc, fd)
+        a, c, fc = np.where(right, c, a), np.where(right, d, c), np.where(right, fd, fc)
+        x = np.where(left, b - _INVGOLD * (b - a), a + _INVGOLD * (b - a))
+        fx = f(x)
+        c, fc = np.where(left, x, c), np.where(left, fx, fc)
+        d, fd = np.where(right, x, d), np.where(right, fx, fd)
+        active = (b - a) > tol
     return (a + b) / 2.0
 
 
-def mle(model: ParametricModel, data: DataSet) -> Estimate:
-    """Maximum-likelihood estimate by coarse grid scan plus golden refinement.
+def mle_batch(model: ParametricModel, data: DataSet) -> np.ndarray:
+    """Maximum-likelihood estimate of every trial; NaN where it fails.
 
-    variance is reported as the asymptotic CRB at the estimate; the empirical
-    variance of the estimator lives in the Monte Carlo harness.
+    One scan table on GRID_SCAN_POINTS thetas, a per-trial argmax (the first,
+    i.e. smallest theta, on ties) and a lockstep golden section between the
+    argmax's grid neighbours.  A trial fails (NaN) when its likelihood is
+    -inf on the whole scan grid or varies by less than FLAT_TOL on it.
     """
     lo, hi = model.theta_domain
     grid = np.linspace(lo, hi, GRID_SCAN_POINTS)
-    ll = np.array([log_likelihood(model, data, t) for t in grid])
-    finite = np.isfinite(ll)
-    if not np.any(finite):
-        raise FlatLikelihood("likelihood is -inf on the whole domain")
-    span = ll[finite].max() - ll[finite].min()
-    if np.count_nonzero(finite) > 1 and span < FLAT_TOL:
-        raise FlatLikelihood(f"likelihood varies by only {span:.3e} on the scan grid")
-    best = int(np.argmax(ll))          # argmax takes the first = smallest theta
-    blo = grid[max(best - 1, 0)]
-    bhi = grid[min(best + 1, grid.size - 1)]
-    theta_hat = _golden_max(lambda t: log_likelihood(model, data, t), blo, bhi)
+    ll = log_likelihood(model, data, grid[:, None])
+    finite = np.isfinite(ll)           # entries are finite or -inf
+    span = ll.max(axis=0) - np.where(finite, ll, np.inf).min(axis=0)
+    flat = ~finite.any(axis=0) | ((finite.sum(axis=0) > 1) & (span < FLAT_TOL))
+    best = np.argmax(ll, axis=0)
+    theta_hat = _golden_max(lambda t: log_likelihood(model, data, t),
+                            grid[np.maximum(best - 1, 0)],
+                            grid[np.minimum(best + 1, grid.size - 1)])
+    theta_hat[flat] = np.nan
+    return theta_hat
+
+
+def mle(model: ParametricModel, data: DataSet) -> Estimate:
+    """Maximum-likelihood estimate of one trial: the one-trial ``mle_batch``.
+
+    The error budget is the asymptotic CRB at the estimate; the empirical
+    variance of the estimator lives in the Monte Carlo harness.
+    """
+    if data.counts.ndim != 1:
+        raise ValueError("mle takes one trial; use mle_batch for a batch")
+    theta_hat = float(mle_batch(model, data)[0])
+    if math.isnan(theta_hat):
+        raise FlatLikelihood("likelihood is -inf or flat on the scan grid")
     fisher = fisher_information(model, theta_hat)
-    bound = 1.0 / (data.n * fisher)
-    return Estimate(theta_hat=theta_hat, variance=bound, fisher=fisher, crb=bound)
+    return Estimate(theta_hat=theta_hat, fisher=fisher,
+                    crb=1.0 / (data.n * fisher))
 
 
 def quadratic_expansion_check(model: ParametricModel,

@@ -4,6 +4,12 @@ Sampling is inverse-CDF on the (discrete or gridded) distribution: one code
 path, a deterministic number of draws per trial.  Trials use independent RNG
 substreams derived from (seed, trial index) so a run is reproducible and
 order-independent; reports are pure functions of the configuration.
+
+Trials are estimated in blocks of TRIAL_BLOCK, all trials of a block in
+lockstep: the block's counts form one batched ``DataSet``, and both
+estimators read ``log_likelihood`` tables over (theta values x trials).  The
+MLE is ``models.mle_batch`` (one scan table, a lockstep golden section); the
+Bayes mean reads one table on its BAYES_GRID_POINTS-point grid.
 """
 
 from __future__ import annotations
@@ -14,15 +20,17 @@ from typing import Callable, Literal
 
 import numpy as np
 
-from .errors import ExcessiveFailures, FlatLikelihood
+from .errors import ExcessiveFailures
 from .interferometer import (FockInput, Posterior, outcome_distribution,
                              posterior_flat, posterior_update)
-from .models import (DataSet, GRID_SCAN_POINTS, ModelKind, ParametricModel,
-                     _golden_max, fisher_information, log_likelihood)
+from .models import (DataSet, ModelKind, ParametricModel, fisher_information,
+                     log_likelihood, mle_batch)
 
 RNG_ALGORITHM = "numpy PCG64, substream per trial via SeedSequence(seed, trial)"
 MAX_FAILURE_RATE = 0.01
 BAYES_GRID_POINTS = 1001
+# Trials estimated together; bounds a block's counts matrix and its tables.
+TRIAL_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -85,91 +93,71 @@ def _outcome_masses(model: ParametricModel, theta: float) -> np.ndarray:
     return p / p.sum()
 
 
+def _sampling_cdf(model: ParametricModel, theta: float) -> np.ndarray:
+    cdf = np.cumsum(_outcome_masses(model, theta))
+    cdf[-1] = 1.0
+    return cdf
+
+
+def _draw_counts(cdf: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarray:
+    idx = np.searchsorted(cdf, rng.random(n), side="right")
+    return np.bincount(idx, minlength=cdf.size).astype(float)
+
+
 def sample_outcomes(model: ParametricModel, theta: float, n: int,
                     rng: np.random.Generator) -> DataSet:
     """n i.i.d. inverse-CDF draws, returned as counts per outcome."""
-    cdf = np.cumsum(_outcome_masses(model, theta))
-    cdf[-1] = 1.0
-    idx = np.searchsorted(cdf, rng.random(n), side="right")
-    return DataSet(counts=np.bincount(idx, minlength=model.n_outcomes).astype(float))
+    return DataSet(counts=_draw_counts(_sampling_cdf(model, theta), n, rng))
 
 
 def _trial_rng(seed: int, trial: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence((seed, trial)))
 
 
-def _fast_mle(model: ParametricModel, counts: np.ndarray,
-              scan_lnp: np.ndarray, scan_grid: np.ndarray) -> float:
-    """Grid scan via a precomputed log-probability table, then golden refine."""
-    nz = np.flatnonzero(counts)
-    cnz = counts[nz]
-    ll = scan_lnp[:, nz] @ cnz
-    finite = np.isfinite(ll)
-    if not np.any(finite):
-        raise FlatLikelihood("likelihood is -inf on the whole domain")
-    if finite.sum() > 1 and ll[finite].max() - ll[finite].min() < 1e-12:
-        raise FlatLikelihood("flat likelihood")
-    best = int(np.argmax(ll))
-    lo = scan_grid[max(best - 1, 0)]
-    hi = scan_grid[min(best + 1, scan_grid.size - 1)]
+def _trial_blocks(config: TrialConfig):
+    """The campaign's counts, TRIAL_BLOCK trials per batched DataSet.
 
-    if model.log_prob_at is not None:
-        def ll_at(theta: float) -> float:
-            lnp = model.log_prob_at(nz, theta)
-            return float(cnz @ lnp) if np.all(np.isfinite(lnp)) else -np.inf
-    else:
-        def ll_at(theta: float) -> float:
-            p = model.probabilities(theta)[nz]
-            if np.any(p <= 0.0):
-                return -np.inf
-            return float(cnz @ np.log(p))
-
-    return _golden_max(ll_at, lo, hi)
+    Trial t draws from its own substream, exactly as ``sample_outcomes``
+    would; the sampling CDF at theta_true is formed once.
+    """
+    cdf = _sampling_cdf(config.model, config.theta_true)
+    for start in range(0, config.n_trials, TRIAL_BLOCK):
+        stop = min(start + TRIAL_BLOCK, config.n_trials)
+        yield DataSet(counts=np.array([
+            _draw_counts(cdf, config.n_particles, _trial_rng(config.rng_seed, t))
+            for t in range(start, stop)]))
 
 
-def _bayes_mean(model: ParametricModel, counts: np.ndarray) -> float:
-    """Posterior mean under a flat prior on the parameter domain."""
+def _bayes_means(model: ParametricModel, data: DataSet) -> np.ndarray:
+    """Posterior mean of every trial under a flat prior on the parameter
+    domain; NaN where the posterior vanishes on the whole grid."""
     lo, hi = model.theta_domain
     grid = np.linspace(lo, hi, BAYES_GRID_POINTS)
-    nz = np.flatnonzero(counts)
-    data = DataSet(counts=counts)
-    ll = np.array([log_likelihood(model, data, t) for t in grid])
-    ll -= ll[np.isfinite(ll)].max()
-    weights = np.exp(ll)
-    total = np.trapezoid(weights, grid)
-    if total <= 0:
-        raise FlatLikelihood("posterior vanished")
-    return float(np.trapezoid(grid * weights, grid) / total)
+    ll = log_likelihood(model, data, grid[:, None])
+    peak = ll.max(axis=0)
+    ok = np.isfinite(peak)
+    weights = np.exp(ll - np.where(ok, peak, 0.0))
+    total = np.trapezoid(weights, grid, axis=0)
+    ok &= total > 0
+    mean = np.trapezoid(grid[:, None] * weights, grid, axis=0) / np.where(ok, total, 1.0)
+    return np.where(ok, mean, np.nan)
 
 
 def run_trials(config: TrialConfig) -> TrialReport:
     """Run the campaign and compare the empirical variance to 1/(n F).
 
-    Per-trial estimation failures (flat likelihoods) are counted; above a 1%
-    failure rate the whole run is rejected.
+    Per-trial estimation failures (flat likelihoods, vanished posteriors) are
+    counted; above a 1% failure rate the whole run is rejected.
     """
     model = config.model
-    scan_grid = np.linspace(*model.theta_domain, GRID_SCAN_POINTS)
-    with np.errstate(divide="ignore"):
-        scan_lnp = np.log(np.array([model.probabilities(t) for t in scan_grid]))
-
-    estimates = []
-    failures = 0
-    for trial in range(config.n_trials):
-        rng = _trial_rng(config.rng_seed, trial)
-        data = sample_outcomes(model, config.theta_true, config.n_particles, rng)
-        try:
-            if config.estimator == "mle":
-                estimates.append(_fast_mle(model, data.counts, scan_lnp, scan_grid))
-            else:
-                estimates.append(_bayes_mean(model, data.counts))
-        except FlatLikelihood:
-            failures += 1
-
+    estimator = mle_batch if config.estimator == "mle" else _bayes_means
+    est = np.concatenate([estimator(model, data) for data in _trial_blocks(config)])
+    failed = np.isnan(est)
+    failures = int(failed.sum())
     if failures > MAX_FAILURE_RATE * config.n_trials:
         raise ExcessiveFailures(f"{failures}/{config.n_trials} trials failed")
 
-    est = np.array(estimates)
+    est = est[~failed]
     mean = float(est.mean())
     variance = float(est.var(ddof=1)) if est.size > 1 else 0.0
     bound = 1.0 / (config.n_particles

@@ -135,7 +135,7 @@ def farfield_model(geometry: SlitGeometry,
             lambda thetas: np.log([np.trapezoid(raw(t), grid) for t in thetas]),
             LOG_NORM_DEGREE, domain=theta_domain)
 
-    def log_prob_at(idx: np.ndarray, theta: float) -> np.ndarray:
+    def log_prob_at(idx: np.ndarray, theta: np.ndarray) -> np.ndarray:
         u = farfield_density(grid[idx], theta)
         with np.errstate(divide="ignore"):
             return np.log(u) - log_norm()(theta)

@@ -169,6 +169,25 @@ def test_montecarlo_mz_model(tmp_path, capsys):
     assert report["empirical_mean"] == pytest.approx(1.0, abs=0.05)
 
 
+def test_montecarlo_balanced_mz_is_identifiable(tmp_path, capsys):
+    # m = 0: p_k(phi) = p_k(pi - phi), so the model domain stops below pi/2
+    code = run_cli(["montecarlo", "--model", "mz", "--n1", "30", "--n2", "30",
+                    "--theta", "0.8", "--n", "100", "--trials", "400",
+                    "--seed", "1"], tmp_path)
+    assert code == 0
+    report = json.loads(capsys.readouterr().out)
+    assert 0.7 <= report["efficiency"] <= 1.3
+
+
+@pytest.mark.parametrize("args", [
+    ["--model", "bernoulli", "--theta", "1.5"],
+    ["--model", "mz", "--n1", "3", "--n2", "3", "--theta", "2.0"],
+])
+def test_montecarlo_theta_outside_domain_exits_2(tmp_path, args):
+    assert run_cli(["montecarlo", *args, "--n", "10", "--trials", "5"],
+                   tmp_path) == 2
+
+
 def test_montecarlo_excessive_failures_exits_5(tmp_path, monkeypatch):
     from fisherlab import ExcessiveFailures as Exc
     import fisherlab.cli as cli_mod

@@ -11,7 +11,7 @@ from fisherlab import (FisherlabError, FockInput, Posterior, SizeLimit,
                        ZeroPosterior, build_rep, fisher_phase_at_zero,
                        linearized_phase_error, moments, mz_transform_check,
                        outcome_amplitude_curve, outcome_distribution,
-                       posterior_flat, posterior_update, posterior_variance,
+                       outcome_table, posterior_flat, posterior_update, posterior_variance,
                        resource_scaling, run_accumulation, wigner_d)
 
 
@@ -158,9 +158,11 @@ KERNEL_PHASES = (-7.3, -math.pi, -2.2, 0.0, 0.41, 3.5, 9.9)
 @pytest.mark.parametrize("j,m", KERNEL_CASES)
 def test_distribution_matches_dense_column(j, m):
     source = FockInput(n1=int(j + m), n2=int(j - m))
-    for phi in KERNEL_PHASES:
+    table = outcome_table(source, np.array(KERNEL_PHASES))
+    for phi, row in zip(KERNEL_PHASES, table):
         dense = wigner_d(j, phi).column(m) ** 2
         assert np.max(np.abs(outcome_distribution(source, phi) - dense)) < 1e-12
+        assert np.max(np.abs(row - dense)) < 1e-12
 
 
 @pytest.mark.parametrize("j,m", KERNEL_CASES)
