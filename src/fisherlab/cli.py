@@ -157,6 +157,9 @@ def cmd_mz(args: argparse.Namespace) -> int:
     if args.n1 < 0 or args.n2 < 0 or args.n1 + args.n2 < 1:
         print("need non-negative counts with n1 + n2 >= 1", file=sys.stderr)
         return EXIT_BAD_INPUT
+    if not math.isfinite(args.phi):
+        print("--phi must be finite", file=sys.stderr)
+        return EXIT_BAD_INPUT
     source = FockInput(n1=args.n1, n2=args.n2)
     try:
         p = outcome_distribution(source, args.phi)
@@ -231,11 +234,18 @@ def cmd_montecarlo(args: argparse.Namespace) -> int:
         print(f"--theta {args.theta} outside the {model.name} model domain "
               f"[{lo}, {hi}]", file=sys.stderr)
         return EXIT_BAD_INPUT
-    config = TrialConfig(model=model, theta_true=args.theta,
-                         n_particles=args.n, n_trials=args.trials,
-                         rng_seed=args.seed, estimator=args.estimator)
+    try:
+        config = TrialConfig(model=model, theta_true=args.theta,
+                             n_particles=args.n, n_trials=args.trials,
+                             rng_seed=args.seed, estimator=args.estimator)
+    except ValueError as exc:
+        print(f"invalid input: {exc}", file=sys.stderr)
+        return EXIT_BAD_INPUT
     try:
         report = run_trials(config)
+    except SizeLimit as exc:
+        print(f"size limit: {exc}", file=sys.stderr)
+        return EXIT_SIZE_LIMIT
     except ExcessiveFailures as exc:
         print(f"excessive failures: {exc}", file=sys.stderr)
         return EXIT_MC_FAILURES
@@ -256,6 +266,9 @@ def cmd_accumulate(args: argparse.Namespace) -> int:
     if args.repeats < 0:
         print("repeats must be non-negative", file=sys.stderr)
         return EXIT_BAD_INPUT
+    if not math.isfinite(args.phi_true):
+        print("--phi-true must be finite", file=sys.stderr)
+        return EXIT_BAD_INPUT
     window = (-args.window / 2.0, args.window / 2.0)
     out_dir = _prepare_out(args)
     written: dict[str, str] = {}
@@ -269,6 +282,12 @@ def cmd_accumulate(args: argparse.Namespace) -> int:
             args.j, args.repeats, args.phi_true, window,
             rng=np.random.default_rng(args.seed),
             postselect_zero=args.postselect_zero, on_posterior=write_posterior)
+    except ValueError as exc:
+        print(f"invalid input: {exc}", file=sys.stderr)
+        return EXIT_BAD_INPUT
+    except SizeLimit as exc:
+        print(f"size limit: {exc}", file=sys.stderr)
+        return EXIT_SIZE_LIMIT
     except ZeroPosterior as exc:
         print(f"zero posterior: {exc}", file=sys.stderr)
         return EXIT_ZERO_POSTERIOR

@@ -2,12 +2,16 @@
 
 Two bosonic modes with total particle number N map onto a spin j = N/2; the
 interferometer acts as the rotation exp(-i phi J2), so outcome statistics are
-squared Wigner rotation-matrix columns.  Everything is computed from the
-eigendecomposition of the (purely imaginary, tridiagonal) generator, which
-stays orthogonal to round-off for dimensions in the hundreds where factorial
-formulas have long overflowed.  Outcome distributions and amplitude curves
-are evaluated in that eigenbasis directly; the dense matrix ``wigner_d`` is
-kept as the reference they are tested against.
+squared Wigner rotation-matrix columns.  Factorial formulas overflow long
+before the dimensions used here, so every column comes from a real symmetric
+tridiagonal eigenproblem, which stays orthogonal to round-off:
+
+* one phase: column m of d(phi) is the eigenvector of cos(phi) J3 +
+  sin(phi) J1 for the exact eigenvalue m, one inverse iteration in O(j)
+  time and memory (``outcome_distribution``);
+* many phases: one eigendecomposition of J2, cached per j, serves a whole
+  phase grid (``outcome_table``, ``outcome_amplitude_curve``) and the dense
+  matrix ``wigner_d`` the kernels are tested against.
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal, expm
+from scipy.linalg.lapack import dstein
 
 from .errors import FisherlabError, SizeLimit, ZeroPosterior
 
@@ -115,20 +120,25 @@ def build_rep(j: float, size_cap: int = SIZE_CAP) -> AngularMomentumRep:
     return AngularMomentumRep(j=j, j1=j1.astype(complex), j2=j2, j3=j3)
 
 
-@functools.lru_cache(maxsize=64)
+def _half_ladder(two_j: int) -> tuple[np.ndarray, np.ndarray]:
+    """k = j .. -j and the J1 off-diagonal (1/2) sqrt(j(j+1) - k(k+1))."""
+    j = two_j / 2.0
+    k = j - np.arange(two_j + 1)
+    return k, 0.5 * np.sqrt(j * (j + 1.0) - k[1:] * (k[1:] + 1.0))
+
+
+@functools.lru_cache(maxsize=2)
 def _generator_eigensystem(two_j: int) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of J2 via its real symmetric tridiagonal conjugate.
 
     With D = diag(i^n), D^-1 J2 D is real symmetric tridiagonal; its
     eigenvectors V and eigenvalues lam give
     d(phi) = Re[ i^(r-c) * (V exp(-i phi lam) V^T) ].
-    Cached read-only per j: safe for concurrent use.
+    Cached read-only per j: safe for concurrent use.  A run uses one j, so
+    two entries suffice and bound the cache at ~270 MB at the size cap.
     """
-    j = two_j / 2.0
-    dim = two_j + 1
-    k = j - np.arange(dim)
-    off = 0.5 * np.sqrt(j * (j + 1.0) - k[1:] * (k[1:] + 1.0))
-    lam, vec = eigh_tridiagonal(np.zeros(dim), off)
+    k, off = _half_ladder(two_j)
+    lam, vec = eigh_tridiagonal(np.zeros_like(k), off)
     lam.setflags(write=False)
     vec.setflags(write=False)
     return lam, vec
@@ -182,19 +192,29 @@ def outcome_amplitude_curve(j: float, k: float, m: float,
 def outcome_distribution(source: FockInput, phi: float) -> np.ndarray:
     """Probabilities p_k(phi) over k = j .. -j: squared column m of d(phi).
 
-    Only that column is formed, in the cached eigenbasis:
-    p = |V (e^{-i phi lam} * V[m])|^2, where the unimodular i^(r-c) phase of
-    ``wigner_d`` drops out of the modulus.  Real and imaginary parts are one
-    real (2j+1) x 2 product, so the dense rotation matrix is never built.
+    The column exp(-i phi J2)|j,m> is, up to sign, the eigenvector of
+    cos(phi) J3 + sin(phi) J1 for the eigenvalue m.  In the |j,k> basis that
+    operator is real symmetric tridiagonal with the exact spectrum -j .. j,
+    so with the eigenvalue known exactly one LAPACK inverse iteration
+    (``dstein``) gives the column: O(j) time and memory, no eigenvalue
+    search and no cached eigenbasis.  Sign conventions drop out of p.
     """
     two_j = _as_two_j(source.j)
     _check_two_j(two_j)
-    lam, vec = _generator_eigensystem(two_j)
-    angle = _reduce_phase(phi) * lam
-    weights = vec[_index_of(source.j, source.m)][:, None] * np.stack(
-        (np.cos(angle), np.sin(angle)), axis=1)
-    amp = vec @ weights
-    return np.einsum("ij,ij->i", amp, amp)
+    if not math.isfinite(phi):
+        raise ValueError("phase must be finite")
+    if two_j == 0:
+        return np.ones(1)
+    phi = _reduce_phase(phi)
+    k, off = _half_ladder(two_j)
+    dim = two_j + 1
+    # the whole matrix is one unsplit block: block index 1, ending at row dim
+    vec, info = dstein(k * math.cos(phi), off * math.sin(phi),
+                       np.array([source.m]), np.ones(dim, dtype=np.int32),
+                       np.full(dim, dim, dtype=np.int32))
+    if info != 0:
+        raise FisherlabError(f"inverse iteration for m={source.m} did not converge")
+    return vec[:, 0] ** 2
 
 
 def outcome_table(source: FockInput, phis: np.ndarray) -> np.ndarray:
@@ -263,14 +283,16 @@ def fisher_phase_at_zero(source: FockInput, verify: bool = True) -> float:
 
     The raw score sum is 0/0 at phi = 0; the closed form realizes its
     L'Hospital limit -2 p_m''(0), which is re-checked by a second central
-    difference of p_m when ``verify`` is set.  The truncation error of that
+    difference of p_m, read from the single-phase column kernel, when
+    ``verify`` is set.  The truncation error of that
     difference grows like (j step)^2, so the step is 1/(300 j).
     """
     j, m = source.j, source.m
     f0 = 2.0 * (j * (j + 1.0) - m ** 2)
     if verify and f0 > 0:
         step = 1.0 / (300.0 * max(j, 1.0))
-        p = outcome_amplitude_curve(j, m, m, np.array([-step, step])) ** 2
+        i = _index_of(j, m)
+        p = [outcome_distribution(source, s)[i] for s in (-step, step)]
         fd = -2.0 * (p[0] + p[1] - 2.0) / step ** 2
         if abs(fd / f0 - 1.0) > 1e-3:
             raise FisherlabError(

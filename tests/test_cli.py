@@ -112,6 +112,11 @@ def test_mz_bad_input_exits_2(tmp_path):
     assert run_cli(["mz", "--n1", "0", "--n2", "0"], tmp_path) == 2
 
 
+@pytest.mark.parametrize("phi", ["nan", "inf"])
+def test_mz_non_finite_phi_exits_2(tmp_path, phi):
+    assert run_cli(["mz", "--n1", "3", "--n2", "1", "--phi", phi], tmp_path) == 2
+
+
 def test_mz_schema(tmp_path):
     run_cli(["mz", "--n1", "4", "--n2", "4", "--phi", "1.0"], tmp_path)
     import jsonschema
@@ -296,6 +301,12 @@ def test_accumulate_zero_posterior_exits_6(tmp_path, monkeypatch):
     assert code == 6
 
 
+@pytest.mark.parametrize("phi", ["nan", "inf"])
+def test_accumulate_non_finite_phi_true_exits_2(tmp_path, phi):
+    assert run_cli(["accumulate", "--j", "5", "--repeats", "2",
+                    "--phi-true", phi], tmp_path) == 2
+
+
 def test_accumulate_rejects_half_integer_j(tmp_path):
     assert run_cli(["accumulate", "--j", "2.5", "--repeats", "1"],
                    tmp_path) == 2
@@ -303,6 +314,17 @@ def test_accumulate_rejects_half_integer_j(tmp_path):
 
 # ---------------------------------------------------------------------------
 # shared behaviour
+
+
+@pytest.mark.parametrize("args,code", [
+    (["montecarlo", "--n", "0"], 2),
+    (["montecarlo", "--trials", "0"], 2),
+    (["accumulate", "--window", "10"], 2),
+    (["montecarlo", "--model", "mz", "--n1", "3000", "--n2", "1200"], 4),
+    (["accumulate", "--j", "1e9"], 4),
+])
+def test_invalid_input_maps_to_documented_exit_code(tmp_path, args, code):
+    assert run_cli(args, tmp_path) == code
 
 
 def test_unknown_subcommand_exits_2():

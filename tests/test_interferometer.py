@@ -13,6 +13,7 @@ from fisherlab import (FisherlabError, FockInput, Posterior, SizeLimit,
                        outcome_amplitude_curve, outcome_distribution,
                        outcome_table, posterior_flat, posterior_update, posterior_variance,
                        resource_scaling, run_accumulation, wigner_d)
+from fisherlab.interferometer import _generator_eigensystem
 
 
 def _expm_d(j: float, phi: float) -> np.ndarray:
@@ -132,12 +133,18 @@ def test_single_particle_fringes():
         assert p[1] == pytest.approx(math.sin(phi / 2) ** 2, abs=1e-12)
 
 
-@pytest.mark.parametrize("j", [0.5, 1.0, 5.0, 50.0, 500.0])
+@pytest.mark.parametrize("j", [0.0, 0.5, 1.0, 5.0, 50.0, 500.0, 2048.0])
 def test_distribution_completeness(j, rng):
     n1 = int(2 * j)
     source = FockInput(n1=n1, n2=0)
     for phi in rng.uniform(-math.pi, math.pi, 20):
-        assert abs(outcome_distribution(source, phi).sum() - 1.0) < 1e-10
+        assert abs(outcome_distribution(source, phi).sum() - 1.0) < 1e-12
+
+
+def test_distribution_rejects_non_finite_phase():
+    for phi in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            outcome_distribution(FockInput(n1=3, n2=1), phi)
 
 
 @pytest.mark.parametrize("j,m", [(2.0, 1.0), (10.0, 3.0), (20.0, 0.0)])
@@ -151,8 +158,9 @@ def test_distribution_parity(j, m, rng):
 
 
 KERNEL_CASES = [(0.5, 0.5), (3.0, -2.0), (7.5, 2.5), (30.0, 10.0), (50.5, -0.5),
-                (100.0, 37.0)]
-KERNEL_PHASES = (-7.3, -math.pi, -2.2, 0.0, 0.41, 3.5, 9.9)
+                (100.0, 37.0), (6.0, 6.0), (9.5, -9.5), (40.0, 0.0), (60.0, -60.0)]
+KERNEL_PHASES = (-7.3, -math.pi, -2.2, 0.0, 1e-9, 0.41, math.pi / 2,
+                 math.pi - 1e-6, math.pi, 3.5, 9.9)
 
 
 @pytest.mark.parametrize("j,m", KERNEL_CASES)
@@ -167,17 +175,34 @@ def test_distribution_matches_dense_column(j, m):
 
 @pytest.mark.parametrize("j,m", KERNEL_CASES)
 def test_amplitude_curve_matches_dense_entries(j, m):
-    # wigner_d reduces phi to (-pi, pi]; each 2 pi turn multiplies d by
+    # wigner_d reduces phi by whole 2 pi turns; each turn multiplies d by
     # (-1)^(2j), which the unreduced curve keeps
     two_j = int(round(2 * j))
     phis = np.array(KERNEL_PHASES)
-    turns = np.round(phis / (2.0 * math.pi))
+    turns = np.floor((phis + math.pi) / (2.0 * math.pi))
     sign = np.where((two_j * turns) % 2 == 0, 1.0, -1.0)
     for k in sorted({j, -j, m, -m, j - two_j // 3}):
         dense = np.array([wigner_d(j, phi).d[int(round(j - k)), int(round(j - m))]
                           for phi in phis])
         curve = outcome_amplitude_curve(j, k, m, phis)
         assert np.max(np.abs(curve - sign * dense)) < 1e-12, k
+
+
+def test_single_phase_column_needs_no_eigenbasis(tmp_path):
+    from fisherlab.cli import main
+    _generator_eigensystem.cache_clear()
+    outcome_distribution(FockInput(n1=30, n2=12), 0.7)
+    assert main(["mz", "--n1", "1000", "--n2", "1000", "--phi", "0.3",
+                 "--out", str(tmp_path)]) == 0
+    info = _generator_eigensystem.cache_info()
+    assert (info.hits, info.misses) == (0, 0)
+
+
+def test_eigenbasis_cache_is_bounded():
+    _generator_eigensystem.cache_clear()
+    for j in (3.0, 4.5, 20.0):
+        outcome_table(FockInput(n1=int(2 * j), n2=0), np.array([0.3]))
+    assert _generator_eigensystem.cache_info().currsize <= 2
 
 
 def test_balanced_input_tracks_bessel():
