@@ -9,15 +9,15 @@ import math
 
 import numpy as np
 
-from fisherlab import (posterior_flat, posterior_update, posterior_variance,
-                       resource_scaling, run_accumulation, FockInput)
+from fisherlab import (posterior_flat, posterior_update, resource_scaling,
+                       run_accumulation, FockInput)
 
 
 def main():
     print("Single-shot posterior over the pi window: variance ~ 1/ln j")
     for j in (50, 100, 200, 400):
         post = posterior_update(posterior_flat(), FockInput(n1=j, n2=j), 0.0)
-        v = posterior_variance(post)
+        v = post.variance()
         print(f"  j = {j:4d}: variance = {v:.5f}, variance * ln j = "
               f"{v * math.log(j):.3f}")
 

@@ -8,7 +8,6 @@ estimator efficiency against the information bounds.
 
 __version__ = "0.1.0"
 
-from .bessel import bessel_j
 from .errors import (DegenerateModel, ExcessiveFailures, FisherlabError,
                      FlatLikelihood, PhaseUnwrapFailure, SizeLimit,
                      ZeroPosterior)
@@ -17,8 +16,7 @@ from .interferometer import (AngularMomentumRep, FockInput, Posterior,
                              linearized_phase_error, moments,
                              mz_transform_check, outcome_amplitude_curve,
                              outcome_distribution, outcome_table, posterior_flat,
-                             posterior_update, posterior_variance,
-                             resource_scaling, wigner_d)
+                             posterior_update, resource_scaling, wigner_d)
 from .models import (DataSet, Estimate, ModelKind, ParametricModel,
                      bernoulli_model, crb, fisher_information,
                      gaussian_location_model, log_likelihood, mle,
@@ -50,9 +48,8 @@ __all__ = [
     "wigner_d", "mz_transform_check", "outcome_distribution", "outcome_table",
     "outcome_amplitude_curve", "moments", "linearized_phase_error",
     "fisher_phase_at_zero", "Posterior", "posterior_flat",
-    "posterior_update", "posterior_variance", "resource_scaling",
+    "posterior_update", "resource_scaling",
     # monte carlo
     "TrialConfig", "TrialReport", "sample_outcomes", "run_trials",
     "run_accumulation",
-    "bessel_j",
 ]

@@ -4,8 +4,11 @@ Subcommands: slit, mz, montecarlo, accumulate.  Curves go to CSV, scalars to
 JSON validated against the schemas shipped with the package; every run with
 an output directory also records a manifest sufficient to replay it.
 
-Exit codes: 0 ok, 2 invalid physical inputs, 3 numerical failure,
-4 size limit, 5 excessive Monte Carlo failures, 6 vanished posterior.
+Subcommands raise on failure; ``main`` is the one place that turns an
+exception into an exit code, through the ordered ``EXIT_CODES`` table:
+0 ok, 2 invalid input (including any non-finite float option), 3 numerical
+failure, 4 size limit, 5 excessive Monte Carlo failures, 6 vanished
+posterior.  An exception outside the table is a bug and stays a traceback.
 """
 
 from __future__ import annotations
@@ -22,21 +25,30 @@ import jsonschema
 import numpy as np
 
 from . import __version__
-from .errors import ExcessiveFailures, FisherlabError, SizeLimit, ZeroPosterior
+from .errors import (DegenerateModel, ExcessiveFailures, FisherlabError,
+                     SizeLimit, ZeroPosterior)
 from .interferometer import (FockInput, Posterior, fisher_phase_at_zero,
                              linearized_phase_error, moments,
-                             outcome_distribution, outcome_table)
+                             outcome_distribution, outcome_table,
+                             resource_scaling)
 from .models import bernoulli_model
 from .montecarlo import TrialConfig, run_accumulation, run_trials
 from .slit import (DENSITY_POINTS, DENSITY_WINDOW, SlitGeometry,
                    farfield_density, fisher_slit, position_variance,
                    uncertainty_chain)
 
-EXIT_BAD_INPUT = 2
-EXIT_NUMERICAL = 3
-EXIT_SIZE_LIMIT = 4
-EXIT_MC_FAILURES = 5
-EXIT_ZERO_POSTERIOR = 6
+# Exit code of each failure a subcommand may raise.  The first matching type
+# wins, so subclasses come before their bases: LinAlgError is a ValueError.
+EXIT_CODES = (
+    (np.linalg.LinAlgError, 3),
+    (ValueError, 2),
+    (DegenerateModel, 2),
+    (SizeLimit, 4),
+    (ExcessiveFailures, 5),
+    (ZeroPosterior, 6),
+    (FisherlabError, 3),
+    (FloatingPointError, 3),
+)
 
 
 def _load_schema(name: str) -> dict:
@@ -112,22 +124,12 @@ def replay_manifest(path: Path) -> int:
 
 
 def cmd_slit(args: argparse.Namespace) -> int:
-    try:
-        geometry = SlitGeometry(a=args.a, wavelength=args.wavelength,
-                                distance=args.distance, k_x=args.kx,
-                                hbar=args.hbar)
-    except ValueError as exc:
-        print(f"invalid geometry: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
-
-    try:
-        fisher = fisher_slit(geometry)
-        dx2 = position_variance(geometry)
-        dp2_bound, heis_bound, product = uncertainty_chain(geometry)
-    except (FisherlabError, FloatingPointError) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-
+    geometry = SlitGeometry(a=args.a, wavelength=args.wavelength,
+                            distance=args.distance, k_x=args.kx,
+                            hbar=args.hbar)
+    fisher = fisher_slit(geometry)
+    dx2 = position_variance(geometry)
+    dp2_bound, heis_bound, product = uncertainty_chain(geometry)
     mu = np.linspace(-DENSITY_WINDOW, DENSITY_WINDOW, DENSITY_POINTS)
     density = farfield_density(mu, geometry.nu)
     summary = {
@@ -154,22 +156,11 @@ def cmd_slit(args: argparse.Namespace) -> int:
 
 
 def cmd_mz(args: argparse.Namespace) -> int:
-    if args.n1 < 0 or args.n2 < 0 or args.n1 + args.n2 < 1:
-        print("need non-negative counts with n1 + n2 >= 1", file=sys.stderr)
-        return EXIT_BAD_INPUT
-    if not math.isfinite(args.phi):
-        print("--phi must be finite", file=sys.stderr)
-        return EXIT_BAD_INPUT
+    if args.n1 + args.n2 < 1:
+        raise ValueError("need n1 + n2 >= 1")
     source = FockInput(n1=args.n1, n2=args.n2)
-    try:
-        p = outcome_distribution(source, args.phi)
-        f0 = fisher_phase_at_zero(source)
-    except SizeLimit as exc:
-        print(f"size limit: {exc}", file=sys.stderr)
-        return EXIT_SIZE_LIMIT
-    except FisherlabError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
+    p = outcome_distribution(source, args.phi)
+    f0 = fisher_phase_at_zero(source)
 
     delta = linearized_phase_error(source, args.phi)
     mean_j3, mean_j3_sq = moments(source, args.phi)
@@ -224,32 +215,15 @@ def _montecarlo_model(args: argparse.Namespace):
 
 
 def cmd_montecarlo(args: argparse.Namespace) -> int:
-    try:
-        model = _montecarlo_model(args)
-    except SizeLimit as exc:
-        print(f"size limit: {exc}", file=sys.stderr)
-        return EXIT_SIZE_LIMIT
+    model = _montecarlo_model(args)
     lo, hi = model.theta_domain
     if not lo <= args.theta <= hi:
-        print(f"--theta {args.theta} outside the {model.name} model domain "
-              f"[{lo}, {hi}]", file=sys.stderr)
-        return EXIT_BAD_INPUT
-    try:
-        config = TrialConfig(model=model, theta_true=args.theta,
-                             n_particles=args.n, n_trials=args.trials,
-                             rng_seed=args.seed, estimator=args.estimator)
-    except ValueError as exc:
-        print(f"invalid input: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
-    try:
-        report = run_trials(config)
-    except SizeLimit as exc:
-        print(f"size limit: {exc}", file=sys.stderr)
-        return EXIT_SIZE_LIMIT
-    except ExcessiveFailures as exc:
-        print(f"excessive failures: {exc}", file=sys.stderr)
-        return EXIT_MC_FAILURES
-
+        raise ValueError(f"--theta {args.theta} outside the {model.name} "
+                         f"model domain [{lo}, {hi}]")
+    report = run_trials(TrialConfig(model=model, theta_true=args.theta,
+                                    n_particles=args.n, n_trials=args.trials,
+                                    rng_seed=args.seed,
+                                    estimator=args.estimator))
     text = _dump_json(report.to_dict(), "trial_report.schema.json")
     out_dir = _prepare_out(args)
     written: dict[str, str] = {}
@@ -260,15 +234,8 @@ def cmd_montecarlo(args: argparse.Namespace) -> int:
 
 
 def cmd_accumulate(args: argparse.Namespace) -> int:
-    if args.j <= 0 or int(round(2 * args.j)) % 2 != 0:
-        print("j must be a positive integer (balanced m = 0 input)", file=sys.stderr)
-        return EXIT_BAD_INPUT
-    if args.repeats < 0:
-        print("repeats must be non-negative", file=sys.stderr)
-        return EXIT_BAD_INPUT
-    if not math.isfinite(args.phi_true):
-        print("--phi-true must be finite", file=sys.stderr)
-        return EXIT_BAD_INPUT
+    if args.j <= 0 or args.j != int(args.j):
+        raise ValueError("--j must be a positive integer (balanced m = 0 input)")
     window = (-args.window / 2.0, args.window / 2.0)
     out_dir = _prepare_out(args)
     written: dict[str, str] = {}
@@ -277,22 +244,13 @@ def cmd_accumulate(args: argparse.Namespace) -> int:
         _write(out_dir, f"posterior_shot_{len(post.shots):03d}.csv",
                _csv("phi,density", (post.grid, post.density)), written)
 
-    try:
-        _, variance = run_accumulation(
-            args.j, args.repeats, args.phi_true, window,
-            rng=np.random.default_rng(args.seed),
-            postselect_zero=args.postselect_zero, on_posterior=write_posterior)
-    except ValueError as exc:
-        print(f"invalid input: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
-    except SizeLimit as exc:
-        print(f"size limit: {exc}", file=sys.stderr)
-        return EXIT_SIZE_LIMIT
-    except ZeroPosterior as exc:
-        print(f"zero posterior: {exc}", file=sys.stderr)
-        return EXIT_ZERO_POSTERIOR
+    _, variance = run_accumulation(
+        args.j, args.repeats, args.phi_true, window,
+        rng=np.random.default_rng(args.seed),
+        postselect_zero=args.postselect_zero, on_posterior=write_posterior)
 
     n = args.repeats
+    prediction = resource_scaling(args.j, n) if n > 0 else None
     summary = {
         "j": args.j,
         "repeats": n,
@@ -300,8 +258,8 @@ def cmd_accumulate(args: argparse.Namespace) -> int:
         "window": [window[0], window[1]],
         "postselect_zero": bool(args.postselect_zero),
         "variance": variance,
-        "prediction_1_over_njj": (1.0 / (n * args.j ** 2)) if n > 0 else None,
-        "prediction_quant_res": (4.0 * n / (2.0 * args.j * n) ** 2) if n > 0 else None,
+        "prediction_1_over_njj": prediction,
+        "prediction_quant_res": prediction,
     }
     _write(out_dir, "accumulate_summary.json",
            _dump_json(summary, "accumulate_summary.schema.json"), written)
@@ -390,7 +348,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        for name, value in vars(args).items():
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"--{name.replace('_', '-')} must be finite")
+        return args.func(args)
+    except tuple(exc_type for exc_type, _ in EXIT_CODES) as exc:
+        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
+        return next(code for exc_type, code in EXIT_CODES
+                    if isinstance(exc, exc_type))
 
 
 if __name__ == "__main__":

@@ -31,11 +31,11 @@ POSTERIOR_WINDOW = (-math.pi / 2.0, math.pi / 2.0)
 POSTERIOR_POINTS = 4001
 
 
-def _check_two_j(two_j: int, size_cap: int = SIZE_CAP) -> None:
+def _check_two_j(two_j: int) -> None:
     if two_j < 0:
         raise ValueError("2j must be a non-negative integer")
-    if two_j + 1 > size_cap:
-        raise SizeLimit(f"dimension {two_j + 1} exceeds cap {size_cap}")
+    if two_j + 1 > SIZE_CAP:
+        raise SizeLimit(f"dimension {two_j + 1} exceeds cap {SIZE_CAP}")
 
 
 def _as_two_j(j: float) -> int:
@@ -47,7 +47,11 @@ def _as_two_j(j: float) -> int:
 
 @dataclass(frozen=True)
 class FockInput:
-    """Particle counts at the two input ports; j = (n1+n2)/2, m = (n1-n2)/2."""
+    """Particle counts at the two input ports; j = (n1+n2)/2, m = (n1-n2)/2.
+
+    Construction enforces the size cap 2j+1 <= SIZE_CAP, so an oversized
+    input fails before any kernel call or output.
+    """
 
     n1: int
     n2: int
@@ -55,6 +59,7 @@ class FockInput:
     def __post_init__(self):
         if self.n1 < 0 or self.n2 < 0 or self.n1 != int(self.n1) or self.n2 != int(self.n2):
             raise ValueError("particle counts must be non-negative integers")
+        _check_two_j(self.n1 + self.n2)
 
     @property
     def j(self) -> float:
@@ -102,10 +107,10 @@ def _index_of(j: float, m: float) -> int:
     return idx
 
 
-def build_rep(j: float, size_cap: int = SIZE_CAP) -> AngularMomentumRep:
+def build_rep(j: float) -> AngularMomentumRep:
     """Angular momentum matrices with the standard ladder coefficients."""
     two_j = _as_two_j(j)
-    _check_two_j(two_j, size_cap)
+    _check_two_j(two_j)
     dim = two_j + 1
     k = j - np.arange(dim)
     # <k+1| J+ |k> = sqrt(j(j+1) - k(k+1)); with k descending this sits one
@@ -148,14 +153,14 @@ def _reduce_phase(phi):
     return (phi + math.pi) % (2.0 * math.pi) - math.pi
 
 
-def wigner_d(j: float, phi: float, size_cap: int = SIZE_CAP) -> WignerRotation:
+def wigner_d(j: float, phi: float) -> WignerRotation:
     """Rotation matrix exp(-i phi J2) in the |j,k> basis, k = j .. -j.
 
     phi is reduced to (-pi, pi] first; for half-integer j this may flip the
     global sign (period 4 pi), which leaves every probability unchanged.
     """
     two_j = _as_two_j(j)
-    _check_two_j(two_j, size_cap)
+    _check_two_j(two_j)
     phi = _reduce_phase(phi)
     lam, vec = _generator_eigensystem(two_j)
     core = (vec * np.exp(-1j * phi * lam)) @ vec.T
@@ -199,8 +204,7 @@ def outcome_distribution(source: FockInput, phi: float) -> np.ndarray:
     (``dstein``) gives the column: O(j) time and memory, no eigenvalue
     search and no cached eigenbasis.  Sign conventions drop out of p.
     """
-    two_j = _as_two_j(source.j)
-    _check_two_j(two_j)
+    two_j = int(source.n_total)
     if not math.isfinite(phi):
         raise ValueError("phase must be finite")
     if two_j == 0:
@@ -224,9 +228,7 @@ def outcome_table(source: FockInput, phis: np.ndarray) -> np.ndarray:
     phases at once as two real products in the cached eigenbasis,
     (V[m] * cos(phi lam)) V^T and (V[m] * sin(phi lam)) V^T.
     """
-    two_j = _as_two_j(source.j)
-    _check_two_j(two_j)
-    lam, vec = _generator_eigensystem(two_j)
+    lam, vec = _generator_eigensystem(int(source.n_total))
     angle = _reduce_phase(np.asarray(phis, dtype=float).reshape(-1, 1)) * lam
     v_m = vec[_index_of(source.j, source.m)]
     re = (v_m * np.cos(angle)) @ vec.T
@@ -335,13 +337,9 @@ def posterior_update(post: Posterior, source: FockInput,
                      shots=post.shots + (outcome_k,))
 
 
-def posterior_variance(post: Posterior) -> float:
-    return post.variance()
-
-
 def resource_scaling(j: float, n_repeats: int) -> float:
-    """Predicted variance 4 n / N_tot^2 for n repeats of an N = 2j, m = 0 shot."""
+    """Predicted variance 1/(n j^2) = 4 n / N_tot^2 for n repeats of an
+    N = 2j, m = 0 shot."""
     if n_repeats < 1:
         raise ValueError("n_repeats must be at least 1")
-    n_tot = 2.0 * j * n_repeats
-    return 4.0 * n_repeats / n_tot ** 2
+    return 1.0 / (n_repeats * j ** 2)

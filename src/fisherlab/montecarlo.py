@@ -99,9 +99,13 @@ def _sampling_cdf(model: ParametricModel, theta: float) -> np.ndarray:
     return cdf
 
 
+def _draw(cdf: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarray:
+    """Indices of n inverse-CDF draws, one uniform each, in stream order."""
+    return np.searchsorted(cdf, rng.random(n), side="right")
+
+
 def _draw_counts(cdf: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarray:
-    idx = np.searchsorted(cdf, rng.random(n), side="right")
-    return np.bincount(idx, minlength=cdf.size).astype(float)
+    return np.bincount(_draw(cdf, n, rng), minlength=cdf.size).astype(float)
 
 
 def sample_outcomes(model: ParametricModel, theta: float, n: int,
@@ -147,9 +151,11 @@ def run_trials(config: TrialConfig) -> TrialReport:
     """Run the campaign and compare the empirical variance to 1/(n F).
 
     Per-trial estimation failures (flat likelihoods, vanished posteriors) are
-    counted; above a 1% failure rate the whole run is rejected.
+    counted; above a 1% failure rate the whole run is rejected.  The Fisher
+    information comes first, so a degenerate model fails before any trial.
     """
     model = config.model
+    fisher = fisher_information(model, config.theta_true)
     estimator = mle_batch if config.estimator == "mle" else _bayes_means
     est = np.concatenate([estimator(model, data) for data in _trial_blocks(config)])
     failed = np.isnan(est)
@@ -160,8 +166,7 @@ def run_trials(config: TrialConfig) -> TrialReport:
     est = est[~failed]
     mean = float(est.mean())
     variance = float(est.var(ddof=1)) if est.size > 1 else 0.0
-    bound = 1.0 / (config.n_particles
-                   * fisher_information(model, config.theta_true))
+    bound = 1.0 / (config.n_particles * fisher)
     return TrialReport(
         model=model.name,
         theta_true=config.theta_true,
@@ -187,11 +192,13 @@ def run_accumulation(j: float, n_repeats: int, phi_true: float,
 
     Samples ``n_repeats`` outcomes at the true phase, one uniform draw per
     shot from the inverse CDF of p_k(phi_true) (computed once per run), and
-    applies a Bayes update per shot.  With ``postselect_zero`` the record is
-    conditioned on the most optimistic all-zero outcome sequence instead of
-    being sampled.  ``on_posterior``, when given, receives every posterior as
-    it is formed, the flat prior first, so a caller can record all prefixes
-    of the run in one pass.
+    applies a Bayes update per shot.  All shots are drawn at once, the same
+    stream as one draw per shot, so the first s shots of a run are those of
+    an s-shot run with the same generator.  With ``postselect_zero`` the
+    record is conditioned on the most optimistic all-zero outcome sequence
+    instead of being sampled.  ``on_posterior``, when given, receives every
+    posterior as it is formed, the flat prior first, so a caller can record
+    all prefixes of the run in one pass.
     """
     if n_repeats < 0:
         raise ValueError("n_repeats must be non-negative")
@@ -200,17 +207,15 @@ def run_accumulation(j: float, n_repeats: int, phi_true: float,
     if source.m != 0:
         raise ValueError("accumulation runs use the balanced m = 0 input")
     post = posterior_flat(window=window, n_points=n_points)
-    if on_posterior is not None:
-        on_posterior(post)
-    if n_repeats and not postselect_zero:
+    if postselect_zero or n_repeats == 0:
+        outcomes = np.zeros(n_repeats)
+    else:
         cdf = np.cumsum(outcome_distribution(source, phi_true))
         cdf[-1] = 1.0
-        k_values = source.j - np.arange(two_j + 1)
-    for _ in range(n_repeats):
-        if postselect_zero:
-            outcome = 0.0
-        else:
-            outcome = float(k_values[np.searchsorted(cdf, rng.random(), side="right")])
+        outcomes = source.j - _draw(cdf, n_repeats, rng)
+    if on_posterior is not None:
+        on_posterior(post)
+    for outcome in outcomes.tolist():
         post = posterior_update(post, source, outcome)
         if on_posterior is not None:
             on_posterior(post)

@@ -20,10 +20,10 @@ from fisherlab import (FockInput, Representation, SlitGeometry,
                        farfield_model, fisher_from_wavefunction,
                        fisher_phase_at_zero, fisher_slit,
                        outcome_amplitude_curve, position_variance,
-                       posterior_flat, posterior_update, posterior_variance,
-                       resource_scaling, run_accumulation, run_trials,
-                       slit_wavefunction, truncated_momentum_variance,
-                       uncertainty_chain, wigner_d)
+                       posterior_flat, posterior_update, resource_scaling,
+                       run_accumulation, run_trials, slit_wavefunction,
+                       truncated_momentum_variance, uncertainty_chain,
+                       wigner_d)
 
 GEOMETRY = SlitGeometry()
 
@@ -226,7 +226,7 @@ def test_criterion_10_log_width_law():
     for j in (50, 100, 200, 400):
         source = FockInput(n1=j, n2=j)
         post = posterior_update(posterior_flat(), source, 0.0)
-        products.append(posterior_variance(post) * math.log(j))
+        products.append(post.variance() * math.log(j))
     mean = sum(products) / len(products)
     dev = max(abs(p - mean) / mean for p in products)
     ok = dev < 0.20

@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from fisherlab import ZeroPosterior
+from fisherlab import FisherlabError, ZeroPosterior
 from fisherlab.cli import main, replay_manifest
 
 
@@ -97,12 +97,13 @@ def test_mz_large_balanced_input(tmp_path):
     assert read_json(tmp_path / "mz_summary.json")["F0"] == 2.0 * 1000 * 1001
 
 
-def test_mz_numerical_failure_exits_3(tmp_path, monkeypatch):
+@pytest.mark.parametrize("error", [FisherlabError, np.linalg.LinAlgError])
+def test_mz_numerical_failure_exits_3(tmp_path, monkeypatch, error):
+    # LinAlgError subclasses ValueError; it must still map to 3, not 2
     import fisherlab.cli as cli_mod
-    from fisherlab import FisherlabError
 
     def boom(*args, **kwargs):
-        raise FisherlabError("forced")
+        raise error("forced")
 
     monkeypatch.setattr(cli_mod, "fisher_phase_at_zero", boom)
     assert run_cli(["mz", "--n1", "3", "--n2", "1"], tmp_path) == 3
@@ -322,9 +323,17 @@ def test_accumulate_rejects_half_integer_j(tmp_path):
     (["accumulate", "--window", "10"], 2),
     (["montecarlo", "--model", "mz", "--n1", "3000", "--n2", "1200"], 4),
     (["accumulate", "--j", "1e9"], 4),
+    (["slit", "--kx", "inf"], 2),
+    (["slit", "--kx", "nan"], 2),
+    (["montecarlo", "--model", "slit", "--hbar", "-1"], 2),
+    (["montecarlo", "--model", "mz", "--n1", "0", "--n2", "0"], 2),
+    (["accumulate", "--j", "1e9", "--repeats", "0"], 4),
+    (["accumulate", "--j", "2.2"], 2),
 ])
 def test_invalid_input_maps_to_documented_exit_code(tmp_path, args, code):
     assert run_cli(args, tmp_path) == code
+    # every check runs before the first output file is written
+    assert [p for p in tmp_path.rglob("*") if p.is_file()] == []
 
 
 def test_unknown_subcommand_exits_2():

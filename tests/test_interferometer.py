@@ -11,7 +11,7 @@ from fisherlab import (FisherlabError, FockInput, Posterior, SizeLimit,
                        ZeroPosterior, build_rep, fisher_phase_at_zero,
                        linearized_phase_error, moments, mz_transform_check,
                        outcome_amplitude_curve, outcome_distribution,
-                       outcome_table, posterior_flat, posterior_update, posterior_variance,
+                       outcome_table, posterior_flat, posterior_update,
                        resource_scaling, run_accumulation, wigner_d)
 from fisherlab.interferometer import _generator_eigensystem
 
@@ -55,6 +55,10 @@ def test_rep_casimir():
 def test_size_cap():
     with pytest.raises(SizeLimit):
         build_rep(5000.0)
+    # the input type itself enforces 2j+1 <= 4097, before any kernel call
+    assert FockInput(n1=4095, n2=1).j == 2048.0
+    with pytest.raises(SizeLimit):
+        FockInput(n1=4096, n2=1)
 
 
 # ---------------------------------------------------------------------------
@@ -317,7 +321,7 @@ def test_fisher_phase_fd_verifier_at_large_j(n1, n2):
 def test_flat_posterior_variance():
     w = math.pi / 2
     post = posterior_flat(window=(-w, w))
-    assert posterior_variance(post) == pytest.approx(w ** 2 / 3.0, rel=1e-6)
+    assert post.variance() == pytest.approx(w ** 2 / 3.0, rel=1e-6)
     assert post.shots == ()
 
 
@@ -361,7 +365,7 @@ def test_posterior_log_width_law():
     for j in (50, 400):
         source = FockInput(n1=j, n2=j)
         post = posterior_update(posterior_flat(), source, 0.0)
-        products.append(posterior_variance(post) * math.log(j))
+        products.append(post.variance() * math.log(j))
     assert products[0] == pytest.approx(products[1], rel=0.25)
 
 

@@ -6,9 +6,9 @@ import math
 import numpy as np
 import pytest
 
-from fisherlab import (DataSet, ExcessiveFailures, ModelKind, ParametricModel,
-                       TrialConfig, bernoulli_model, run_accumulation,
-                       run_trials, sample_outcomes)
+from fisherlab import (DataSet, DegenerateModel, ExcessiveFailures, ModelKind,
+                       ParametricModel, TrialConfig, bernoulli_model,
+                       run_accumulation, run_trials, sample_outcomes)
 from fisherlab.montecarlo import _outcome_masses, _trial_rng
 
 
@@ -117,6 +117,25 @@ def test_excessive_failures_raises():
     config = TrialConfig(model=flat, theta_true=0.5, n_particles=10,
                          n_trials=20, rng_seed=0)
     with pytest.raises(ExcessiveFailures):
+        run_trials(config)
+
+
+def test_degenerate_model_fails_before_any_trial(monkeypatch):
+    import fisherlab.montecarlo as mc_mod
+
+    def no_trials(config):
+        raise AssertionError("trials ran on a one-outcome model")
+
+    monkeypatch.setattr(mc_mod, "_trial_blocks", no_trials)
+    single = ParametricModel(
+        kind=ModelKind.DISCRETE,
+        outcomes=np.array([0]),
+        prob=lambda t: np.array([1.0]),
+        theta_domain=(0.0, 1.0),
+    )
+    config = TrialConfig(model=single, theta_true=0.5, n_particles=10,
+                         n_trials=20, rng_seed=0)
+    with pytest.raises(DegenerateModel):
         run_trials(config)
 
 
