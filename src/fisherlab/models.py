@@ -6,8 +6,11 @@ and continuous densities sampled on a uniform grid (trapezoid integral 1).
 All operations are pure functions over immutable values.
 
 Estimation is batched over trials: a ``DataSet`` may hold one row of counts
-per trial, and every estimate reads ``log_likelihood`` tables of
-``sum_x c_x ln p_x(theta)`` over (theta values x trials).
+per trial.  The MLE scans a ``log_likelihood`` table of
+``sum_x c_x ln p_x(theta)`` over (theta values x trials), then refines every
+trial at once with a safeguarded Newton iteration on the score
+``sum_x c_x d ln p_x / d theta``, read from a model's analytic ``score_at``
+hook or from central differences of its log-probabilities.
 """
 
 from __future__ import annotations
@@ -25,10 +28,11 @@ from .errors import DegenerateModel, FlatLikelihood
 SUPPORT_EPS = 1e-14      # outcomes with p below this are excluded from p'^2/p
 FD_STEP = 1e-5           # central-difference step when no analytic derivative
 GRID_SCAN_POINTS = 201
-GOLDEN_TOL = 1e-8
 FLAT_TOL = 1e-12
-
-_INVGOLD = (math.sqrt(5.0) - 1.0) / 2.0
+NEWTON_TOL = 1e-10
+# Bound on refinement rounds.  Bisection alone halves a two-cell scan bracket
+# below NEWTON_TOL in ~30 rounds; Newton steps converge in ~5.
+NEWTON_MAX_ITER = 100
 
 
 class ModelKind(Enum):
@@ -64,6 +68,11 @@ class ParametricModel:
     # (G, K) indices per row.  Returns the (G, U) or (G, K) values of
     # ln p_idx(theta), -inf where p = 0, agreeing with log(prob(theta)[idx]).
     log_prob_at: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
+    # Optional analytic score, score_at(idx, theta): broadcasts like
+    # log_prob_at and returns the pair (d ln p_idx / d theta,
+    # d^2 ln p_idx / d theta^2) at the observed outcomes.
+    score_at: Optional[Callable[[np.ndarray, np.ndarray],
+                                tuple[np.ndarray, np.ndarray]]] = None
 
     def __post_init__(self):
         object.__setattr__(self, "outcomes", np.asarray(self.outcomes))
@@ -99,6 +108,29 @@ class ParametricModel:
         p = take_outcomes(np.array([self.probabilities(t) for t in theta[:, 0]]), idx)
         with np.errstate(divide="ignore", invalid="ignore"):
             return np.where(p > 0.0, np.log(p), -np.inf)
+
+    def log_prob_derivatives(self, idx: np.ndarray, theta: np.ndarray
+                             ) -> tuple[np.ndarray, np.ndarray]:
+        """First and second theta-derivatives of ln p at outcome indices
+        ``idx`` for a column ``theta``; shapes as in ``log_probabilities``.
+
+        Uses the ``score_at`` hook when the model has one, otherwise central
+        differences of ``log_probabilities`` with step ``FD_STEP``, the
+        stencil shifted to stay inside the domain and its centre value
+        extrapolated linearly to theta.
+        """
+        theta = np.asarray(theta, dtype=float).reshape(-1, 1)
+        if self.score_at is not None:
+            return self.score_at(idx, theta)
+        lo, hi = self.theta_domain
+        step = min(FD_STEP, (hi - lo) / 4.0)
+        centre = np.clip(theta, lo + step, hi - step)
+        below, mid, above = (self.log_probabilities(idx, centre + s)
+                             for s in (-step, 0.0, step))
+        with np.errstate(invalid="ignore"):
+            d2 = (above - 2.0 * mid + below) / step ** 2
+            d1 = (above - below) / (2.0 * step) + d2 * (theta - centre)
+        return d1, d2
 
     def derivatives(self, theta: float) -> np.ndarray:
         if self.dprob is not None:
@@ -240,39 +272,33 @@ def crb(model: ParametricModel, theta: float, n: int) -> float:
     return 1.0 / (n * fisher_information(model, theta))
 
 
-def _golden_max(f: Callable[[np.ndarray], np.ndarray], lo: np.ndarray,
-                hi: np.ndarray, tol: float = GOLDEN_TOL) -> np.ndarray:
-    """Golden-section maximization on every interval [lo_t, hi_t] in lockstep.
-
-    ``f`` maps a vector of points, one per interval, to their values.  Each
-    interval takes the scalar update rule and stops at its own tolerance.
-    """
-    a = np.array(lo, dtype=float)
-    b = np.array(hi, dtype=float)
-    c = b - _INVGOLD * (b - a)
-    d = a + _INVGOLD * (b - a)
-    fc, fd = f(c), f(d)
-    active = (b - a) > tol
-    while np.any(active):
-        left = active & (fc >= fd)     # ties move left: smallest-theta tie break
-        right = active & ~left
-        b, d, fd = np.where(left, d, b), np.where(left, c, d), np.where(left, fc, fd)
-        a, c, fc = np.where(right, c, a), np.where(right, d, c), np.where(right, fd, fc)
-        x = np.where(left, b - _INVGOLD * (b - a), a + _INVGOLD * (b - a))
-        fx = f(x)
-        c, fc = np.where(left, x, c), np.where(left, fx, fc)
-        d, fd = np.where(right, x, d), np.where(right, fx, fd)
-        active = (b - a) > tol
-    return (a + b) / 2.0
+def _score(model: ParametricModel, idx: np.ndarray, weights: np.ndarray,
+           theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """First and second theta-derivatives of each trial's log-likelihood at
+    its own theta[t], over its observed outcomes ``idx`` with ``weights``."""
+    d1, d2 = model.log_prob_derivatives(idx, theta)
+    seen = weights > 0.0               # padding may sit where p = 0
+    return (np.einsum("tk,tk->t", np.where(seen, d1, 0.0), weights),
+            np.einsum("tk,tk->t", np.where(seen, d2, 0.0), weights))
 
 
 def mle_batch(model: ParametricModel, data: DataSet) -> np.ndarray:
     """Maximum-likelihood estimate of every trial; NaN where it fails.
 
-    One scan table on GRID_SCAN_POINTS thetas, a per-trial argmax (the first,
-    i.e. smallest theta, on ties) and a lockstep golden section between the
-    argmax's grid neighbours.  A trial fails (NaN) when its likelihood is
+    One scan table on GRID_SCAN_POINTS thetas and a per-trial argmax (the
+    first, i.e. smallest theta, on ties) give each trial a bracket between
+    the argmax's grid neighbours.  A trial fails (NaN) when its likelihood is
     -inf on the whole scan grid or varies by less than FLAT_TOL on it.
+
+    The others are refined together by a safeguarded Newton iteration from
+    the argmax on the score l' and curvature l'' (``log_prob_derivatives``).
+    Each round shrinks a trial's bracket by the sign of l'; it takes the
+    Newton step -l'/l'' when l'' < 0 and the step is at most NEWTON_TOL or
+    lands strictly inside the bracket, and bisects otherwise.  A trial stops
+    when its step or its bracket is at most NEWTON_TOL.  A trial that did not
+    stop on such a Newton step (an edge maximum, a non-finite or convex
+    score) falls back to the scan argmax where its estimate's log-likelihood
+    is lower.
     """
     lo, hi = model.theta_domain
     grid = np.linspace(lo, hi, GRID_SCAN_POINTS)
@@ -281,11 +307,37 @@ def mle_batch(model: ParametricModel, data: DataSet) -> np.ndarray:
     span = ll.max(axis=0) - np.where(finite, ll, np.inf).min(axis=0)
     flat = ~finite.any(axis=0) | ((finite.sum(axis=0) > 1) & (span < FLAT_TOL))
     best = np.argmax(ll, axis=0)
-    theta_hat = _golden_max(lambda t: log_likelihood(model, data, t),
-                            grid[np.maximum(best - 1, 0)],
-                            grid[np.minimum(best + 1, grid.size - 1)])
-    theta_hat[flat] = np.nan
-    return theta_hat
+    start = grid[best]
+    a = grid[np.maximum(best - 1, 0)]
+    b = grid[np.minimum(best + 1, grid.size - 1)]
+    x = start.copy()
+    concave_stop = np.zeros(x.shape, dtype=bool)
+    idx, weights = data.observed
+    active = np.flatnonzero(~flat)
+    for _ in range(NEWTON_MAX_ITER):
+        if active.size == 0:
+            break
+        xa = x[active]
+        g, h = _score(model, idx[active], weights[active], xa)
+        aa = np.where(g > 0.0, xa, a[active])
+        ba = np.where(g < 0.0, xa, b[active])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            newton = -g / h
+        small = (h < 0.0) & (np.abs(newton) <= NEWTON_TOL)
+        inside = (h < 0.0) & (aa < xa + newton) & (xa + newton < ba)
+        step = np.where(small | inside, newton, (aa + ba) / 2.0 - xa)
+        x[active] = np.clip(xa + step, aa, ba)
+        a[active], b[active] = aa, ba
+        concave_stop[active[small]] = True
+        active = active[~small & (np.abs(step) > NEWTON_TOL) & (ba - aa > NEWTON_TOL)]
+    # A trial that stopped otherwise (an edge maximum, a non-finite or convex
+    # score) keeps its estimate only if it is at least as likely as the scan
+    # argmax; comparing a converged estimate would let rounding decide.
+    if not np.all(concave_stop | flat):
+        worse = log_likelihood(model, data, x) < log_likelihood(model, data, start)
+        x[worse & ~concave_stop] = start[worse & ~concave_stop]
+    x[flat] = np.nan
+    return x
 
 
 def mle(model: ParametricModel, data: DataSet) -> Estimate:
@@ -337,6 +389,11 @@ def quadratic_expansion_check(model: ParametricModel,
 def bernoulli_model(theta_domain: tuple[float, float] = (1e-9, 1.0 - 1e-9)
                     ) -> ParametricModel:
     """Two-outcome model p = (theta, 1 - theta)."""
+
+    def score_at(idx: np.ndarray, theta: np.ndarray):
+        d1 = np.where(idx == 0, 1.0 / theta, -1.0 / (1.0 - theta))
+        return d1, -d1 * d1
+
     return ParametricModel(
         kind=ModelKind.DISCRETE,
         outcomes=np.array([0, 1]),
@@ -344,6 +401,7 @@ def bernoulli_model(theta_domain: tuple[float, float] = (1e-9, 1.0 - 1e-9)
         dprob=lambda t: np.array([1.0, -1.0]),
         theta_domain=theta_domain,
         name="bernoulli",
+        score_at=score_at,
     )
 
 
@@ -362,6 +420,10 @@ def gaussian_location_model(sigma: float = 1.0,
     def dprob(theta: float) -> np.ndarray:
         return prob(theta) * (grid - theta) / sigma ** 2
 
+    def score_at(idx: np.ndarray, theta: np.ndarray):
+        d1 = (grid[idx] - theta) / sigma ** 2
+        return d1, np.full(d1.shape, -1.0 / sigma ** 2)
+
     return ParametricModel(
         kind=ModelKind.CONTINUOUS_GRID,
         outcomes=grid,
@@ -369,4 +431,5 @@ def gaussian_location_model(sigma: float = 1.0,
         dprob=dprob,
         theta_domain=theta_domain,
         name="gaussian",
+        score_at=score_at,
     )

@@ -8,8 +8,9 @@ order-independent; reports are pure functions of the configuration.
 Trials are estimated in blocks of TRIAL_BLOCK, all trials of a block in
 lockstep: the block's counts form one batched ``DataSet``, and both
 estimators read ``log_likelihood`` tables over (theta values x trials).  The
-MLE is ``models.mle_batch`` (one scan table, a lockstep golden section); the
-Bayes mean reads one table on its BAYES_GRID_POINTS-point grid.
+MLE is ``models.mle_batch`` (one scan table, then a lockstep safeguarded
+Newton refinement on the score); the Bayes mean reads one table on its
+BAYES_GRID_POINTS-point grid.
 """
 
 from __future__ import annotations

@@ -28,6 +28,8 @@ DENSITY_WINDOW = 40.0
 DENSITY_POINTS = 8001
 # degree of the Chebyshev interpolant of the grid normalization log Z(nu)
 LOG_NORM_DEGREE = 64
+# |mu - nu| below which the score of ln sinc^2 uses its Taylor series
+SCORE_SERIES_T = 1e-4
 
 # default grid for momentum-representation wavefunctions: wide enough that
 # the truncated 1/mu^2 tail mass stays below the 1e-6 norm budget.
@@ -72,8 +74,17 @@ class SlitGeometry:
 
 
 def sinc(x):
-    """sin(x)/x with the removable singularity at 0."""
-    return np.sinc(np.asarray(x, dtype=float) / np.pi)
+    """Unnormalized sinc, sin(x)/x, with the limit 1 at x = 0.
+
+    One sine per entry and no scaling of x by pi (``np.sinc`` is the
+    normalized sin(pi x)/(pi x)); a scalar argument gives a scalar.
+    """
+    x = np.asarray(x, dtype=float)
+    out = np.sin(x, out=np.empty_like(x))
+    with np.errstate(invalid="ignore"):
+        out /= x
+    out[x == 0.0] = 1.0
+    return out[()]
 
 
 def sinc_deriv(x):
@@ -128,17 +139,48 @@ def farfield_model(geometry: SlitGeometry,
     # The grid normalization log Z(theta) is smooth and nearly constant, so a
     # Chebyshev interpolant, built on first use, makes subset log-probability
     # queries cheap for likelihood scans; it reproduces the trapezoid value to
-    # ~1e-15.
+    # ~1e-15.  Its first two derivatives serve the score.
     @functools.cache
-    def log_norm() -> np.polynomial.Chebyshev:
-        return np.polynomial.Chebyshev.interpolate(
+    def log_norm() -> tuple[np.polynomial.Chebyshev, ...]:
+        f = np.polynomial.Chebyshev.interpolate(
             lambda thetas: np.log([np.trapezoid(raw(t), grid) for t in thetas]),
             LOG_NORM_DEGREE, domain=theta_domain)
+        return f, f.deriv(), f.deriv(2)
 
     def log_prob_at(idx: np.ndarray, theta: np.ndarray) -> np.ndarray:
-        u = farfield_density(grid[idx], theta)
+        # ln sinc^2(t) - ln pi - log Z, formed in place
+        lnp = sinc(grid[idx] - theta)
+        np.square(lnp, out=lnp)
         with np.errstate(divide="ignore"):
-            return np.log(u) - log_norm()(theta)
+            np.log(lnp, out=lnp)
+        lnp -= math.log(math.pi) + log_norm()[0](theta)
+        return lnp
+
+    def score_at(idx: np.ndarray, theta: np.ndarray):
+        # ln p = 2 ln|sin t / t| - ln pi - log Z(theta), t = mu - theta:
+        # d/dtheta = -2 (cot t - 1/t) - log Z', and
+        # d2/dtheta2 = 2 (1/t^2 - csc^2 t) - log Z'', with csc^2 = 1 + cot^2;
+        # a Taylor series below SCORE_SERIES_T, where both forms cancel.
+        t = grid[idx] - theta
+        with np.errstate(divide="ignore", invalid="ignore"):
+            inv = np.reciprocal(t)
+            cot = np.tan(t)
+            np.reciprocal(cot, out=cot)
+            d1 = inv - cot
+            np.square(inv, out=inv)
+            np.square(cot, out=cot)
+            d2 = np.subtract(inv, cot, out=inv)
+        d1 *= 2.0
+        d2 -= 1.0
+        d2 *= 2.0
+        small = np.abs(t) < SCORE_SERIES_T
+        ts = t[small]
+        d1[small] = 2.0 * ts / 3.0 + 2.0 * ts ** 3 / 45.0
+        d2[small] = -2.0 / 3.0 - 2.0 * ts ** 2 / 15.0
+        _, dlog_norm, d2log_norm = log_norm()
+        d1 -= dlog_norm(theta)
+        d2 -= d2log_norm(theta)
+        return d1, d2
 
     return ParametricModel(
         kind=ModelKind.CONTINUOUS_GRID,
@@ -148,6 +190,7 @@ def farfield_model(geometry: SlitGeometry,
         theta_domain=theta_domain,
         name="slit",
         log_prob_at=log_prob_at,
+        score_at=score_at,
     )
 
 

@@ -4,10 +4,13 @@ The reference functions below are the estimators as they were written one
 trial and one theta at a time: a per-theta likelihood scan, a scalar golden
 section and a per-grid-point Bayes mean.  The batched core must reproduce
 them: MLE estimates within 2 GOLDEN_TOL plus the float64 rounding floor of
-the log-likelihood's maximum, Bayes means within 1e-12 relative.
+the log-likelihood's maximum, Bayes means within 1e-12 relative.  Where the
+maximiser has a closed form, the Newton refinement must reach it within
+NEWTON_TOL, and its safeguards must hold on edge maxima and broken scores.
 """
 
 import argparse
+import dataclasses
 import math
 
 import numpy as np
@@ -20,12 +23,14 @@ from fisherlab import (DataSet, ExcessiveFailures, ModelKind, ParametricModel,
                        gaussian_location_model, log_likelihood,
                        run_trials, sample_outcomes)
 from fisherlab.cli import _montecarlo_model
-from fisherlab.models import (FLAT_TOL, GOLDEN_TOL, GRID_SCAN_POINTS,
-                              mle_batch)
+from fisherlab.models import (FD_STEP, FLAT_TOL, GRID_SCAN_POINTS,
+                              NEWTON_MAX_ITER, NEWTON_TOL, mle_batch)
 from fisherlab.montecarlo import (BAYES_GRID_POINTS, TRIAL_BLOCK,
                                   _bayes_means, _trial_blocks, _trial_rng)
 
 _INVGOLD = (math.sqrt(5.0) - 1.0) / 2.0
+# tolerance of the scalar golden-section reference
+GOLDEN_TOL = 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -129,6 +134,83 @@ def test_mle_batch_matches_scalar_reference(name):
     for row, est in zip(counts, batched):
         ref = ref_mle(model, row)
         assert abs(est - ref) <= 2 * GOLDEN_TOL + rounding_floor(model, row, ref)
+
+
+def test_mle_batch_reaches_closed_form_maximiser():
+    # bernoulli: c_0 / n; gaussian location on a grid: the count-weighted
+    # mean of the grid points
+    for name, exact in (("bernoulli", lambda m, c: c[:, 0] / c.sum(axis=1)),
+                        ("gaussian", lambda m, c: c @ m.outcomes / c.sum(axis=1))):
+        factory, theta, n = MODELS[name]
+        model = factory()
+        counts = sampled(model, theta, n, trials=20)
+        est = mle_batch(model, DataSet(counts=counts))
+        assert np.max(np.abs(est - exact(model, counts))) <= NEWTON_TOL, name
+
+
+def scan_bracket(model, counts):
+    """Each trial's scan argmax and the bracket of its grid neighbours."""
+    grid = np.linspace(*model.theta_domain, GRID_SCAN_POINTS)
+    best = np.argmax(log_likelihood(model, DataSet(counts=counts), grid[:, None]),
+                     axis=0)
+    return (grid[best], grid[np.maximum(best - 1, 0)],
+            grid[np.minimum(best + 1, grid.size - 1)])
+
+
+def assert_safeguarded(model, counts):
+    """Every estimate is finite, inside its scan bracket, and no worse than
+    the scan argmax, both read through the per-trial log_likelihood."""
+    data = DataSet(counts=counts)
+    est = mle_batch(model, data)
+    start, lo, hi = scan_bracket(model, counts)
+    assert np.all(np.isfinite(est))
+    assert np.all((lo <= est) & (est <= hi))
+    assert np.all(log_likelihood(model, data, est)
+                  >= log_likelihood(model, data, start))
+    return est
+
+
+def test_newton_stops_on_maxima_at_the_domain_edge():
+    model = bernoulli_model()
+    est = assert_safeguarded(model, np.array([[50.0, 0.0], [0.0, 50.0], [7.0, 3.0]]))
+    lo, hi = model.theta_domain
+    assert est[0] == hi and est[1] == lo
+    assert est[2] == pytest.approx(0.7, abs=NEWTON_TOL)
+    # a maximum just outside the domain: the last Newton step is below
+    # NEWTON_TOL and points out of the domain
+    model = bernoulli_model(theta_domain=(0.3 + 5e-11, 0.9))
+    est = assert_safeguarded(model, np.array([[3.0, 7.0], [30.0, 70.0]]))
+    assert np.all(est == model.theta_domain[0])
+
+
+def broken_score(kind):
+    """A score hook that is non-finite, convex or of the wrong sign."""
+    def score_at(idx, theta):
+        d1, d2 = bernoulli_model().score_at(idx, theta)
+        if kind == "nan":
+            return np.full(d1.shape, np.nan), np.full(d2.shape, np.nan)
+        if kind == "inf":
+            return np.where(idx == 0, np.inf, -np.inf) + 0 * theta, d2
+        if kind == "convex":
+            return d1, -d2
+        return -d1, d2                 # wrong sign: refines towards a minimum
+    return score_at
+
+
+@pytest.mark.parametrize("kind", ["nan", "inf", "convex", "wrong_sign"])
+def test_newton_safeguard_on_a_broken_score(kind):
+    calls = []
+    hook = broken_score(kind)
+
+    def counted(idx, theta):
+        calls.append(theta.shape[0])
+        return hook(idx, theta)
+
+    model = dataclasses.replace(bernoulli_model(), score_at=counted)
+    counts = np.array([[30.0, 70.0], [1.0, 99.0], [64.0, 36.0], [100.0, 0.0],
+                       [50.0, 50.0]])
+    assert_safeguarded(model, counts)
+    assert 0 < len(calls) <= NEWTON_MAX_ITER
 
 
 @pytest.mark.parametrize("name", ["bernoulli", "gaussian", "mz"])
@@ -256,3 +338,60 @@ def test_batched_log_likelihood_equals_scalar(case):
             assert table[g, t] == pytest.approx(
                 ref_log_likelihood(model, row, theta), rel=1e-12, abs=1e-12)
         assert paired[t] == pytest.approx(table[t, t], rel=1e-12, abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# property: every bundled score_at hook equals central differences of
+# log_probabilities
+
+
+SCORE_MODELS = {"slit": farfield_model(SlitGeometry(), mu_max=20.0, n_points=2001),
+                "bernoulli": bernoulli_model(), "gaussian": gaussian_location_model()}
+
+
+def central_differences(model, idx, theta, h):
+    f = [model.log_probabilities(idx, np.array([[theta + k * h]])) for k in (-1, 0, 1)]
+    return (f[2] - f[0]) / (2.0 * h), (f[2] - 2.0 * f[1] + f[0]) / h ** 2, f[1]
+
+
+@st.composite
+def score_cases(draw):
+    """A model, a theta and observed outcomes.  Slit cases put theta within
+    1e-4 of a grid point (the series branch) or 1e-4..1e-2 from a zero of
+    sinc(mu - theta) at some grid point."""
+    name = draw(st.sampled_from(sorted(SCORE_MODELS)))
+    model = SCORE_MODELS[name]
+    lo, hi = model.theta_domain
+    idx = np.array(draw(st.lists(st.integers(0, model.n_outcomes - 1),
+                                 min_size=1, max_size=6)))
+    if name != "slit":
+        return name, draw(st.floats(lo + 0.01, hi - 0.01)), idx
+    zeros = draw(st.integers(-3, 3))
+    shifted = model.outcomes - zeros * math.pi
+    anchor = draw(st.sampled_from(np.flatnonzero(np.abs(shifted) < hi - 0.1)))
+    sign = draw(st.sampled_from([-1.0, 1.0]))
+    offset = sign * draw(st.floats(1e-4, 1e-2) if zeros else st.floats(0.0, 1e-4))
+    theta = shifted[anchor] + offset
+    return name, theta, np.append(idx, anchor)
+
+
+@settings(max_examples=150, deadline=None)
+@given(score_cases())
+def test_score_at_matches_central_differences(case):
+    name, theta, idx = case
+    model = SCORE_MODELS[name]
+    d1, d2 = model.log_prob_derivatives(idx, np.array([[theta]]))
+    # the default path, central differences at FD_STEP, must agree too
+    f1, f2 = dataclasses.replace(model, score_at=None).log_prob_derivatives(
+        idx, np.array([[theta]]))
+    c1, c2, lnp = central_differences(model, idx, theta, FD_STEP)
+    assert np.array_equal(f1, c1) and np.array_equal(f2, c2)
+    # truncation: the step-2h difference moves by ~3x the step-h error;
+    # rounding: a few eps |ln p| per evaluation, and the rounding of the
+    # stencil points theta +- h times the slope, over h or h^2
+    r1, r2, _ = central_differences(model, idx, theta, 2.0 * FD_STEP)
+    noise = (8.0 * np.finfo(float).eps * (1.0 + np.abs(lnp))
+             + 4.0 * np.spacing(abs(theta) + 1.0) * np.abs(c1))
+    assert np.all(np.abs(d1 - c1) <= np.abs(r1 - c1) + noise / FD_STEP + 1e-9 * np.abs(c1))
+    assert np.all(np.abs(d2 - c2) <= np.abs(r2 - c2) + noise / FD_STEP ** 2
+                  + 1e-9 * np.abs(c2))

@@ -62,6 +62,15 @@ def test_sinc_derivative_series_matches_quotient():
     assert sinc(0.0) == 1.0
 
 
+def test_log_prob_at_matches_log_of_prob(slit_model):
+    # the in-place ln sinc^2 - ln pi - log Z against the renormalized density
+    idx = np.arange(slit_model.n_outcomes)
+    for theta in (-7.3, -1.0, 0.0, 0.004, 2.5, 7.99):
+        lnp = slit_model.log_prob_at(idx, np.array([[theta]]))[0]
+        ref = np.log(slit_model.probabilities(theta))
+        assert np.max(np.abs(lnp - ref)) <= 1e-13
+
+
 # ---------------------------------------------------------------------------
 # Fisher information of the pattern
 
